@@ -1,10 +1,13 @@
 """Golden-output and exit-code tests for the command-line interface."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from nmecut.cli import main
+
+DATA_DIR = Path(__file__).parent / "data"
 
 
 def run_cli(args, capsys):
@@ -128,6 +131,28 @@ class TestExperiment:
         assert run_cli(args + ["--out", str(a)], capsys)[0] == 0
         assert run_cli(args + ["--out", str(b)], capsys)[0] == 0
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize(
+        "golden, extra",
+        [
+            ("golden_stratified_paired.csv", []),
+            ("golden_multinomial_unpaired.csv", ["--mode", "multinomial", "--unpaired"]),
+        ],
+    )
+    def test_matches_committed_golden_csv(self, golden, extra, tmp_path, capsys):
+        # Cross-version pin: budgets of 1-3 shots leave some terms with no
+        # shots, so the zero-shot skip path is covered as well.
+        out_path = tmp_path / golden
+        args = [
+            "experiment",
+            "--f", "0.5", "0.7", "1.0",
+            "--shots", "1", "2", "3", "10", "250", "1000",
+            "--n-states", "20",
+            "--seed", "20240901",
+            "--out", str(out_path),
+        ]
+        assert run_cli(args + extra, capsys)[0] == 0
+        assert out_path.read_bytes() == (DATA_DIR / golden).read_bytes()
 
     def test_summary_table_printed(self, tmp_path, capsys):
         code, out, _ = run_cli(
