@@ -7,9 +7,7 @@ shot-budget experiments.
 
 from .channels import (
     QuantumChannel,
-    apply,
     bell_overlaps,
-    choi,
     conjugate_channel,
     measure_prepare_channel,
     measure_prepare_flip_channel,
@@ -23,7 +21,6 @@ from .estimator import (
     allocate_shots,
     estimate_cut_expectation,
     exact_expectation,
-    sample_branch_expectation,
 )
 from .experiment import (
     ExperimentConfig,
@@ -72,10 +69,8 @@ __all__ = [
     "SchmidtForm",
     "ShotAllocation",
     "allocate_shots",
-    "apply",
     "bell_overlaps",
     "bell_state",
-    "choi",
     "conjugate_channel",
     "estimate_cut_expectation",
     "exact_expectation",
@@ -98,7 +93,6 @@ __all__ = [
     "resource_consumption_rate",
     "run_sweep",
     "run_trial",
-    "sample_branch_expectation",
     "schmidt_decompose",
     "teleportation_channel",
     "teleportation_circuit_channel",

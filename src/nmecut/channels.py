@@ -25,6 +25,7 @@ from .linalg import (
     CNOT,
     H,
     I2,
+    NORM_TOL,
     PAULIS,
     X,
     Z,
@@ -69,14 +70,17 @@ class QuantumChannel:
         self.out_dim = out_dim
         self.name = name
 
+    def act(self, rho: Matrix) -> Matrix:
+        """sum_i K_i rho K_i^dag on a raw in_dim x in_dim matrix, unchecked."""
+        return sum(k @ rho @ dagger(k) for k in self.kraus)
+
     def apply(self, rho: DensityOperator) -> DensityOperator:
-        """sum_i K_i rho K_i^dag as a validated density operator."""
+        """The channel's action as a validated density operator."""
         if rho.dim != self.in_dim:
             raise DimensionMismatchError(
                 f"state dim {rho.dim} does not match channel input dim {self.in_dim}"
             )
-        out = sum(k @ rho.matrix @ dagger(k) for k in self.kraus)
-        return DensityOperator(dim=self.out_dim, matrix=out)
+        return DensityOperator(dim=self.out_dim, matrix=self.act(rho.matrix))
 
     @cached_property
     def choi(self) -> Matrix:
@@ -92,14 +96,6 @@ class QuantumChannel:
     def __repr__(self) -> str:
         label = self.name or "channel"
         return f"QuantumChannel({label!r}, {len(self.kraus)} Kraus, {self.in_dim}->{self.out_dim})"
-
-
-def apply(ch: QuantumChannel, rho: DensityOperator) -> DensityOperator:
-    return ch.apply(rho)
-
-
-def choi(ch: QuantumChannel) -> Matrix:
-    return ch.choi
 
 
 def unitary_channel(u: np.ndarray, name: str = "") -> QuantumChannel:
@@ -197,7 +193,7 @@ def teleportation_circuit_branches(
             ops: list[Matrix] = []
             for e in range(4):
                 lam = float(eigvals[e])
-                if lam < 1e-12:
+                if lam < NORM_TOL:
                     continue
                 chi = eigvecs[:, e]
                 m = np.zeros((2, 2), dtype=complex)

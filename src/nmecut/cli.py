@@ -15,7 +15,8 @@ import sys
 import numpy as np
 
 from .channels import unitary_channel
-from .errors import InvalidParameterError, NmecutError, OutOfRangeError
+from .errors import InvalidParameterError, NmecutError
+from .estimator import MODES
 from .experiment import (
     DEFAULT_F_VALUES,
     DEFAULT_N_STATES,
@@ -64,7 +65,7 @@ def cmd_overhead(args: argparse.Namespace) -> int:
         return USAGE_ERROR
     try:
         gamma = optimal_overhead_pure(args.k) if args.k is not None else optimal_overhead(args.f)
-    except (InvalidParameterError, OutOfRangeError) as exc:
+    except InvalidParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     print(_fmt(gamma))
@@ -131,7 +132,6 @@ def _merge_experiment_config(args: argparse.Namespace) -> ExperimentConfig:
         seed=pick(args.seed, "seed", _default_seed()),
         mode=pick(args.mode, "mode", "stratified"),
         paired=not args.unpaired,
-        identity_prep=args.identity_prep,
     )
 
 
@@ -139,7 +139,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     try:
         config = _merge_experiment_config(args)
         config.validate()
-    except (InvalidParameterError, OutOfRangeError, json.JSONDecodeError) as exc:
+    except (InvalidParameterError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except OSError as exc:
@@ -216,9 +216,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         help=f"random seed (default ${SEED_ENV_VAR} if set, else {DEFAULT_SEED})",
     )
-    p.add_argument("--mode", choices=("stratified", "multinomial"), help="sampling mode (default stratified)")
+    p.add_argument("--mode", choices=MODES, help="sampling mode (default stratified)")
     p.add_argument("--unpaired", action="store_true", help="draw independent W sequences per f value")
-    p.add_argument("--identity-prep", action="store_true", help="test hook: use W = I for every state")
     p.add_argument("--config", help="JSON config file; explicit flags override file values")
     p.add_argument("--out", default="experiment.csv", help="output CSV path")
     p.set_defaults(func=cmd_experiment)

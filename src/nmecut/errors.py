@@ -37,7 +37,7 @@ class InvalidParameterError(NmecutError):
     """Parameter outside its admissible domain (negative, non-finite, ...)."""
 
 
-class OutOfRangeError(NmecutError):
+class OutOfRangeError(InvalidParameterError):
     """Scalar argument outside its documented range."""
 
 

@@ -15,17 +15,19 @@ from typing import Union
 
 import numpy as np
 
+from .channels import UNITARY_TOL
 from .errors import (
+    DimensionMismatchError,
     InvalidObservableError,
     InvalidParameterError,
     InvalidProbabilityError,
     NotHermitianError,
     NotUnitaryError,
+    NotUnitTraceError,
     ZeroShotsError,
 )
-from .linalg import DensityOperator, Matrix, as_matrix, dagger
+from .linalg import HERMITIAN_TOL, TRACE_TOL, Matrix, as_matrix, dagger
 from .qpd import QuasiProbDecomposition
-from .channels import QuantumChannel
 
 OBSERVABLE_TOL = 1e-10
 PROBABILITY_TOL = 1e-10
@@ -70,16 +72,26 @@ class ShotAllocation:
             raise InvalidParameterError("per-term shots must sum to the total")
 
 
+def _check_observable(observable: np.ndarray, dim: int) -> Matrix:
+    """Coerce O and require it square, Hermitian and acting on `dim` levels."""
+    obs = as_matrix(observable)
+    if obs.shape != (dim, dim):
+        raise DimensionMismatchError(
+            f"observable shape {obs.shape} does not match state dim {dim}"
+        )
+    herm = np.abs(obs - dagger(obs)).max()
+    if herm > HERMITIAN_TOL:
+        raise NotHermitianError(f"max |O - O^dag| = {herm:.3e} > {HERMITIAN_TOL}")
+    return obs
+
+
 def exact_expectation(prep: np.ndarray, observable: np.ndarray) -> float:
     """<0| W^dag O W |0> for a unitary preparation W and Hermitian O."""
     w = as_matrix(prep)
-    obs = as_matrix(observable)
     residual = np.abs(dagger(w) @ w - np.eye(w.shape[0])).max()
-    if residual > 1e-10:
-        raise NotUnitaryError(f"max |W^dag W - I| = {residual:.3e} > 1e-10")
-    herm = np.abs(obs - dagger(obs)).max()
-    if herm > 1e-10:
-        raise NotHermitianError(f"max |O - O^dag| = {herm:.3e} > 1e-10")
+    if residual > UNITARY_TOL:
+        raise NotUnitaryError(f"max |W^dag W - I| = {residual:.3e} > {UNITARY_TOL}")
+    obs = _check_observable(observable, w.shape[0])
     column = w[:, 0]
     return float(np.real(column.conj() @ obs @ column))
 
@@ -110,49 +122,6 @@ def allocate_shots(qpd: QuasiProbDecomposition, total: int) -> ShotAllocation:
     return ShotAllocation(total=total, per_term=tuple(int(c) for c in counts))
 
 
-def _plus_probability(
-    ch: QuantumChannel, state: DensityOperator, observable: Matrix
-) -> float:
-    """Probability of the +1 outcome when measuring O after the channel."""
-    value = float(np.real(np.trace(observable @ ch.apply(state).matrix)))
-    p = 0.5 * (1.0 + value)
-    if p < -PROBABILITY_TOL or p > 1.0 + PROBABILITY_TOL:
-        raise InvalidProbabilityError(f"outcome probability {p} outside [0, 1]")
-    return min(max(p, 0.0), 1.0)
-
-
-def _check_observable(observable: np.ndarray) -> Matrix:
-    obs = as_matrix(observable)
-    herm = np.abs(obs - dagger(obs)).max()
-    if herm > 1e-10:
-        raise NotHermitianError(f"max |O - O^dag| = {herm:.3e} > 1e-10")
-    eigs = np.linalg.eigvalsh(obs)
-    if np.any(np.abs(np.abs(eigs) - 1.0) > OBSERVABLE_TOL):
-        raise InvalidObservableError(f"observable eigenvalues {eigs} are not all +/-1")
-    return obs
-
-
-def sample_branch_expectation(
-    ch: QuantumChannel,
-    input_state: DensityOperator,
-    observable: np.ndarray,
-    shots: int,
-    rng: RngLike,
-) -> float:
-    """Finite-shot estimate of tr[O Channel(rho)] for a +/-1 observable.
-
-    Draws the +1 count from Binomial(shots, p_plus) with the exact outcome
-    probability and returns (2 n_plus - shots)/shots; unbiased by
-    construction.
-    """
-    if shots < 1:
-        raise ZeroShotsError(f"shots must be >= 1, got {shots}")
-    obs = _check_observable(observable)
-    p_plus = _plus_probability(ch, input_state, obs)
-    n_plus = int(as_generator(rng).binomial(shots, p_plus))
-    return (2.0 * n_plus - shots) / shots
-
-
 def estimate_cut_expectation(
     qpd: QuasiProbDecomposition,
     prep: np.ndarray,
@@ -163,6 +132,8 @@ def estimate_cut_expectation(
 ) -> float:
     """Signed recombination of finite-shot branch estimates.
 
+    Each branch's +1 count is drawn from Binomial(shots_i, p_i) with the exact
+    probability p_i of measuring +1 after its channel, all in one call.
     stratified: the budget is split proportionally to the coefficients and
     each branch is sampled with its share; the estimate is sum_i c_i est_i.
     multinomial: every shot first draws a term index with probability p_i,
@@ -174,31 +145,33 @@ def estimate_cut_expectation(
         raise ZeroShotsError(f"total_shots must be >= 1, got {total_shots}")
     if mode not in MODES:
         raise InvalidParameterError(f"mode must be one of {MODES}, got {mode!r}")
-    w = as_matrix(prep)
-    obs = _check_observable(observable)
-    state = DensityOperator.from_matrix(
-        np.outer(w[:, 0], w[:, 0].conj())
-    )
+    column = as_matrix(prep)[:, 0]
+    dim = column.shape[0]
+    obs = _check_observable(observable, dim)
+    eigs = np.linalg.eigvalsh(obs)
+    if np.any(np.abs(np.abs(eigs) - 1.0) > OBSERVABLE_TOL):
+        raise InvalidObservableError(f"observable eigenvalues {eigs} are not all +/-1")
+    rho = np.outer(column, column.conj())
+    norm_error = abs(rho.trace() - 1.0)
+    if norm_error > TRACE_TOL:
+        raise NotUnitTraceError(f"|<0|W^dag W|0> - 1| = {norm_error:.3e} > {TRACE_TOL}")
+    if any((t.channel.in_dim, t.channel.out_dim) != (dim, dim) for t in qpd.terms):
+        raise DimensionMismatchError(f"state dim {dim} does not match every channel's dims")
+
+    values = np.array([np.real(np.trace(obs @ t.channel.act(rho))) for t in qpd.terms])
+    p_plus = 0.5 * (1.0 + values)
+    if np.any((p_plus < -PROBABILITY_TOL) | (p_plus > 1.0 + PROBABILITY_TOL)):
+        raise InvalidProbabilityError(f"outcome probabilities {p_plus} outside [0, 1]")
     gen = as_generator(rng)
-
     if mode == "stratified":
-        allocation = allocate_shots(qpd, total_shots)
-        estimate = 0.0
-        for term, shots in zip(qpd.terms, allocation.per_term):
-            if shots == 0:
-                continue
-            branch = sample_branch_expectation(term.channel, state, obs, shots, gen)
-            estimate += term.coefficient * branch
-        return estimate
-
-    counts = gen.multinomial(total_shots, qpd.probabilities)
-    kappa = qpd.kappa
-    accumulated = 0.0
-    for term, n in zip(qpd.terms, counts):
-        if n == 0:
-            continue
-        p_plus = _plus_probability(term.channel, state, obs)
-        n_plus = int(gen.binomial(int(n), p_plus))
-        sign = 1.0 if term.coefficient > 0 else -1.0
-        accumulated += sign * kappa * (2.0 * n_plus - int(n))
-    return accumulated / total_shots
+        shots = np.array(allocate_shots(qpd, total_shots).per_term)
+    else:
+        shots = gen.multinomial(total_shots, qpd.probabilities)
+    # Terms without shots draw nothing: Binomial(0, p) consumes no randomness.
+    outcome_sums = 2.0 * gen.binomial(shots, np.clip(p_plus, 0.0, 1.0)) - shots
+    drawn = shots > 0
+    # Python's sum adds left to right from 0.0; the golden CSVs pin these bits.
+    if mode == "stratified":
+        coefficients = np.array([t.coefficient for t in qpd.terms])
+        return float(sum(coefficients[drawn] * (outcome_sums[drawn] / shots[drawn]), 0.0))
+    return float(sum(qpd.signs[drawn] * qpd.kappa * outcome_sums[drawn], 0.0) / total_shots)

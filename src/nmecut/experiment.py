@@ -23,10 +23,10 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidParameterError, NmecutError
-from .estimator import RandomSource, RngLike, as_generator, estimate_cut_expectation, exact_expectation
-from .linalg import I2, Z
+from .estimator import MODES, RandomSource, RngLike, as_generator, estimate_cut_expectation, exact_expectation
+from .linalg import Z
 from .qpd import QuasiProbDecomposition, nme_wire_cut
-from .states import k_from_f
+from .states import checked_overlap, k_from_f
 
 DEFAULT_F_VALUES = (0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
 DEFAULT_SHOT_GRID = tuple(range(250, 5001, 250))
@@ -61,14 +61,12 @@ class ExperimentConfig:
     seed: int = DEFAULT_SEED
     mode: str = "stratified"
     paired: bool = True
-    identity_prep: bool = False  # test hook: force W = I for every state
 
     def validate(self) -> None:
         if not self.f_values:
             raise InvalidParameterError("f_values must be nonempty")
         for f in self.f_values:
-            if not 0.5 - 1e-12 <= f <= 1.0 + 1e-12:
-                raise InvalidParameterError(f"f value {f} outside [0.5, 1]")
+            checked_overlap(f)
         if not self.shot_grid:
             raise InvalidParameterError("shot_grid must be nonempty")
         if any(s < 1 for s in self.shot_grid):
@@ -77,7 +75,7 @@ class ExperimentConfig:
             raise InvalidParameterError("shot_grid must be strictly increasing")
         if self.n_states < 1:
             raise InvalidParameterError(f"n_states must be >= 1, got {self.n_states}")
-        if self.mode not in ("stratified", "multinomial"):
+        if self.mode not in MODES:
             raise InvalidParameterError(f"unknown mode {self.mode!r}")
 
 
@@ -142,13 +140,10 @@ def run_sweep(config: ExperimentConfig) -> list[ExperimentRecord]:
     for fi, f in enumerate(config.f_values):
         k = k_from_f(f).k
         decomposition = nme_wire_cut(k)
-        preps = []
-        for si in range(config.n_states):
-            if config.identity_prep:
-                preps.append(I2)
-            else:
-                source = RandomSource(config.seed, _w_stream(config, fi, si))
-                preps.append(haar_random_unitary(source))
+        preps = [
+            haar_random_unitary(RandomSource(config.seed, _w_stream(config, fi, si)))
+            for si in range(config.n_states)
+        ]
         for ji, shots in enumerate(config.shot_grid):
             errors = np.empty(config.n_states)
             for si in range(config.n_states):

@@ -24,9 +24,9 @@ from .channels import (
     measure_prepare_flip_channel,
     teleportation_channel,
 )
-from .errors import InvalidParameterError, OutOfRangeError
+from .errors import InvalidParameterError
 from .linalg import H, S, Matrix
-from .states import NmeParameter, _as_param, nme_state
+from .states import NmeParameter, _as_param, checked_overlap, nme_state
 
 COEFFICIENT_SUM_TOL = 1e-12
 
@@ -91,6 +91,14 @@ class QuasiProbDecomposition:
         return "\n".join(lines)
 
 
+def _coefficients(p: NmeParameter) -> tuple[float, float]:
+    """(a, b) = ((k^2+1)/(k+1)^2, (k-1)^2/(k+1)^2) for the pair |phi_k>."""
+    kk = p.k
+    a = (kk * kk + 1.0) / ((kk + 1.0) * (kk + 1.0))
+    b = (kk - 1.0) * (kk - 1.0) / ((kk + 1.0) * (kk + 1.0))
+    return a, b
+
+
 def harada_wire_cut() -> QuasiProbDecomposition:
     """Entanglement-free optimal cut of the identity wire (kappa = 3).
 
@@ -113,9 +121,7 @@ def nme_wire_cut(k: "float | NmeParameter") -> QuasiProbDecomposition:
     has coefficient zero and is omitted.
     """
     p = _as_param(k)
-    kk = p.k
-    a = (kk * kk + 1.0) / ((kk + 1.0) * (kk + 1.0))
-    b = (kk - 1.0) * (kk - 1.0) / ((kk + 1.0) * (kk + 1.0))
+    a, b = _coefficients(p)
     tel = teleportation_channel(nme_state(p).density())
     terms = [
         QpdTerm(a, conjugate_channel(U1, tel, name="teleport[H]"), consumes_resource=True),
@@ -128,17 +134,13 @@ def nme_wire_cut(k: "float | NmeParameter") -> QuasiProbDecomposition:
 
 def optimal_overhead(f: float) -> float:
     """Minimal sampling overhead 2/f - 1 for a resource of overlap f."""
-    f = float(f)
-    if not 0.5 - 1e-12 <= f <= 1.0 + 1e-12:
-        raise OutOfRangeError(f"f must lie in [0.5, 1], got {f}")
-    return 2.0 / min(max(f, 0.5), 1.0) - 1.0
+    return 2.0 / checked_overlap(f) - 1.0
 
 
 def optimal_overhead_pure(k: "float | NmeParameter") -> float:
-    """Minimal sampling overhead 4(k^2+1)/(k+1)^2 - 1 for the pure pair |phi_k>."""
-    p = _as_param(k)
-    kk = p.k
-    return 4.0 * (kk * kk + 1.0) / ((kk + 1.0) * (kk + 1.0)) - 1.0
+    """Minimal sampling overhead 4(k^2+1)/(k+1)^2 - 1 = 4a - 1 for the pure pair |phi_k>."""
+    a, _ = _coefficients(_as_param(k))
+    return 4.0 * a - 1.0
 
 
 def resource_consumption_rate(k: "float | NmeParameter") -> float:
@@ -151,8 +153,8 @@ def resource_consumption_rate(k: "float | NmeParameter") -> float:
     p = _as_param(k)
     if p.k <= 0.0:
         raise InvalidParameterError(f"k must be > 0, got {p.k}")
-    kk = p.k
-    return 2.0 * (kk * kk + 1.0) / ((kk + 1.0) * (kk + 1.0))
+    a, _ = _coefficients(p)
+    return 2.0 * a
 
 
 def reconstruct_channel(qpd: QuasiProbDecomposition) -> Matrix:

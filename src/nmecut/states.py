@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidParameterError, OutOfRangeError
-from .linalg import PAULIS, I2, PureState, kron
+from .linalg import PAULIS, TRACE_TOL, I2, PureState, kron
 
 RANGE_TOL = 1e-12
 
@@ -124,7 +124,7 @@ def m_distillation_norm(coeffs: Sequence[float], m: int) -> float:
         raise InvalidParameterError("coefficients must be nonnegative")
     if np.any(np.diff(c) > RANGE_TOL):
         raise InvalidParameterError("coefficients must be sorted in descending order")
-    if float(np.sum(c * c)) > 1.0 + 1e-10:
+    if float(np.sum(c * c)) > 1.0 + TRACE_TOL:
         raise InvalidParameterError("squared coefficients must sum to at most 1")
     c = np.clip(c, 0.0, None)
     d = c.size
@@ -150,16 +150,21 @@ def overlap_f_pure(psi: PureState) -> float:
     return 0.5 * nrm * nrm
 
 
+def checked_overlap(f: float) -> float:
+    """Overlap f clamped to [0.5, 1]; OutOfRangeError beyond RANGE_TOL outside."""
+    f = float(f)
+    if not 0.5 - RANGE_TOL <= f <= 1.0 + RANGE_TOL:
+        raise OutOfRangeError(f"f must lie in [0.5, 1], got {f}")
+    return min(max(f, 0.5), 1.0)
+
+
 def k_from_f(f: float) -> NmeParameter:
     """Invert f = (k+1)^2 / (2(k^2+1)) to the canonical root k in [0, 1].
 
     The mirror root 1/k produces the same f; the sweep configuration uses the
     canonical one.
     """
-    f = float(f)
-    if not 0.5 - RANGE_TOL <= f <= 1.0 + RANGE_TOL:
-        raise OutOfRangeError(f"f must lie in [0.5, 1], got {f}")
-    f = min(max(f, 0.5), 1.0)
+    f = checked_overlap(f)
     c = 1.0 - 2.0 * f
     if c == 0.0:
         return NmeParameter(0.0)

@@ -7,9 +7,7 @@ from helpers import random_density_matrix
 from nmecut.errors import DimensionMismatchError, NotTracePreservingError, NotUnitaryError
 from nmecut.channels import (
     QuantumChannel,
-    apply,
     bell_overlaps,
-    choi,
     conjugate_channel,
     measure_prepare_channel,
     measure_prepare_flip_channel,
@@ -90,12 +88,6 @@ class TestApplyAndChoi:
     def test_choi_cached(self):
         ch = unitary_channel(H)
         assert ch.choi is ch.choi
-
-    def test_module_level_wrappers(self):
-        ch = unitary_channel(I2)
-        rho = validate_density(I2 / 2)
-        np.testing.assert_allclose(apply(ch, rho).matrix, rho.matrix)
-        np.testing.assert_allclose(choi(ch), ch.choi)
 
     def test_trace_preservation_enforced(self):
         with pytest.raises(NotTracePreservingError):

@@ -99,26 +99,6 @@ class TestVerify:
 
 
 class TestExperiment:
-    def test_identity_prep_zero_error(self, tmp_path, capsys):
-        out_path = tmp_path / "run.csv"
-        code, out, _ = run_cli(
-            [
-                "experiment",
-                "--n-states", "1",
-                "--shots", "100",
-                "--f", "1.0",
-                "--identity-prep",
-                "--seed", "5",
-                "--out", str(out_path),
-            ],
-            capsys,
-        )
-        assert code == 0
-        data = out_path.read_text().splitlines()
-        assert data[0] == "f,k,shots,avg_error,std_error,n_states"
-        fields = data[1].split(",")
-        assert float(fields[3]) == 0.0
-
     def test_deterministic_csv(self, tmp_path, capsys):
         args = [
             "experiment",

@@ -6,9 +6,12 @@ import numpy as np
 import pytest
 
 from nmecut.errors import (
+    DimensionMismatchError,
     InvalidObservableError,
+    InvalidParameterError,
     NotHermitianError,
     NotUnitaryError,
+    NotUnitTraceError,
     ZeroShotsError,
 )
 from nmecut.channels import conjugate_channel, measure_prepare_flip_channel, teleportation_channel, unitary_channel
@@ -17,7 +20,6 @@ from nmecut.estimator import (
     allocate_shots,
     estimate_cut_expectation,
     exact_expectation,
-    sample_branch_expectation,
 )
 from nmecut.experiment import haar_random_unitary
 from nmecut.linalg import H, I2, X, Z, validate_density
@@ -60,6 +62,10 @@ class TestExactExpectation:
         with pytest.raises(NotHermitianError):
             exact_expectation(I2, np.array([[0, 1], [0, 0]], dtype=complex))
 
+    def test_rejects_mis_shaped_observable(self):
+        with pytest.raises(DimensionMismatchError):
+            exact_expectation(I2, np.eye(3))
+
 
 class TestAllocateShots:
     def test_exact_division(self):
@@ -94,11 +100,17 @@ class TestAllocateShots:
         assert sum(allocation.per_term) == 2
 
 
+def one_term(ch):
+    return QuasiProbDecomposition((QpdTerm(1.0, ch),))
+
+
 class TestSampleBranchExpectation:
+    """A single branch sampled through a one-term decomposition."""
+
     def test_deterministic_branch(self):
-        ch = unitary_channel(I2)
+        qpd = one_term(unitary_channel(I2))
         for shots in (1, 10, 1000):
-            assert sample_branch_expectation(ch, ZERO, Z, shots, RandomSource(0, 0)) == 1.0
+            assert estimate_cut_expectation(qpd, I2, Z, shots, RandomSource(0, 0)) == 1.0
 
     def test_flip_branch_is_deterministically_negative(self):
         # Oracle: the flip channel maps |0><0| to |1><1|, so <Z> = -1 exactly.
@@ -106,28 +118,30 @@ class TestSampleBranchExpectation:
         exact = float(np.real(np.trace(Z @ ch.apply(ZERO).matrix)))
         assert exact == -1.0
         for shots in (1, 7, 500):
-            assert sample_branch_expectation(ch, ZERO, Z, shots, RandomSource(3, 1)) == -1.0
+            assert estimate_cut_expectation(one_term(ch), I2, Z, shots, RandomSource(3, 1)) == -1.0
 
     def test_teleportation_branch_is_unbiased(self):
-        # Oracle: exact channel application gives the target expectation.
+        # Oracle: exact channel application gives the target expectation;
+        # the preparation H sends |0> to |+>.
         ch = conjugate_channel(H, teleportation_channel(nme_state(0.5).density()))
         exact = float(np.real(np.trace(Z @ ch.apply(PLUS).matrix)))
+        qpd = one_term(ch)
         gen = RandomSource(77, 0).generator()
         reps = 1000
         shots = 64
-        draws = np.array(
-            [sample_branch_expectation(ch, PLUS, Z, shots, gen) for _ in range(reps)]
-        )
+        draws = np.array([estimate_cut_expectation(qpd, H, Z, shots, gen) for _ in range(reps)])
         se = draws.std(ddof=1) / math.sqrt(reps)
         assert abs(draws.mean() - exact) <= 4 * se
 
     def test_rejects_bad_observable(self):
         with pytest.raises(InvalidObservableError):
-            sample_branch_expectation(unitary_channel(I2), ZERO, np.diag([1.0, 0.5]), 10, RandomSource(0, 0))
+            estimate_cut_expectation(
+                one_term(unitary_channel(I2)), I2, np.diag([1.0, 0.5]), 10, RandomSource(0, 0)
+            )
 
     def test_rejects_zero_shots(self):
         with pytest.raises(ZeroShotsError):
-            sample_branch_expectation(unitary_channel(I2), ZERO, Z, 0, RandomSource(0, 0))
+            estimate_cut_expectation(one_term(unitary_channel(I2)), I2, Z, 0, RandomSource(0, 0))
 
 
 class TestEstimateCutExpectation:
@@ -210,3 +224,27 @@ class TestEstimateCutExpectation:
     def test_rejects_zero_total_shots(self):
         with pytest.raises(ZeroShotsError):
             estimate_cut_expectation(nme_wire_cut(0.5), I2, Z, 0, RandomSource(0, 0))
+
+    @pytest.mark.parametrize("mode", ["stratified", "multinomial"])
+    def test_rejects_mis_shaped_observable(self, mode):
+        with pytest.raises(DimensionMismatchError):
+            estimate_cut_expectation(
+                nme_wire_cut(0.5), I2, np.eye(3), 10, RandomSource(0, 0), mode=mode
+            )
+
+    @pytest.mark.parametrize("mode", ["stratified", "multinomial"])
+    @pytest.mark.parametrize(
+        "prep, observable, error",
+        [
+            (2.0 * I2, Z, NotUnitTraceError),
+            (np.array([[np.nan, 0.0], [0.0, 1.0]]), Z, InvalidParameterError),
+            (np.eye(4), Z, DimensionMismatchError),
+            (np.eye(4), np.kron(Z, Z), DimensionMismatchError),
+        ],
+        ids=["unnormalized", "nan", "four-by-four", "wider-than-the-cut"],
+    )
+    def test_rejects_bad_preparation(self, prep, observable, error, mode):
+        with pytest.raises(error):
+            estimate_cut_expectation(
+                nme_wire_cut(0.5), prep, observable, 10, RandomSource(0, 0), mode=mode
+            )

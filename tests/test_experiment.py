@@ -85,13 +85,7 @@ class TestRunTrial:
 
 class TestRunSweep:
     def test_identity_prep_gives_zero_error(self):
-        config = ExperimentConfig(
-            f_values=(1.0,), shot_grid=(100,), n_states=1, seed=1, identity_prep=True
-        )
-        records = run_sweep(config)
-        assert len(records) == 1
-        assert records[0].avg_error == 0.0
-        assert records[0].k == 1.0
+        assert run_trial(1.0, I2, 100, RandomSource(1, 0)) == 0.0
 
     def test_record_schema(self):
         config = ExperimentConfig(
