@@ -52,7 +52,7 @@ def _default_seed() -> int:
     try:
         return int(value)
     except ValueError:
-        return DEFAULT_SEED
+        raise InvalidParameterError(f"{SEED_ENV_VAR} must be an integer, got {value!r}") from None
 
 
 def _fmt(x: float) -> str:
@@ -125,11 +125,12 @@ def _merge_experiment_config(args: argparse.Namespace) -> ExperimentConfig:
             return file_values[key]
         return default
 
+    seed = pick(args.seed, "seed", None)
     return ExperimentConfig(
         f_values=tuple(pick(args.f, "f_values", DEFAULT_F_VALUES)),
         shot_grid=tuple(pick(args.shots, "shot_grid", DEFAULT_SHOT_GRID)),
         n_states=pick(args.n_states, "n_states", DEFAULT_N_STATES),
-        seed=pick(args.seed, "seed", _default_seed()),
+        seed=_default_seed() if seed is None else seed,
         mode=pick(args.mode, "mode", "stratified"),
         paired=not args.unpaired,
     )

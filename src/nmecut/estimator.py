@@ -10,6 +10,7 @@ identical keys reproduce identical draws across runs and platforms.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Union
 
@@ -24,6 +25,7 @@ from .errors import (
     NotHermitianError,
     NotUnitaryError,
     NotUnitTraceError,
+    OutOfRangeError,
     ZeroShotsError,
 )
 from .linalg import HERMITIAN_TOL, TRACE_TOL, Matrix, as_matrix, dagger
@@ -35,19 +37,53 @@ PROBABILITY_TOL = 1e-10
 MODES = ("stratified", "multinomial")
 
 
+# Two 64-bit words key a Philox stream; counter and buffer start empty.
+_KEY_LIMIT = 1 << 64
+_ZERO_WORDS = (0, 0, 0, 0)
+
+
 @dataclass(frozen=True)
 class RandomSource:
-    """Reproducible stream key: (seed, stream_id) -> Philox generator."""
+    """Reproducible stream key: (seed, stream_id) -> Philox generator.
+
+    Both fields are integers in [0, 2**64), the two words of the Philox key,
+    so distinct pairs always name distinct streams.
+    """
 
     seed: int
     stream_id: int = 0
 
+    def __post_init__(self) -> None:
+        for name in ("seed", "stream_id"):
+            value = getattr(self, name)
+            try:
+                in_range = 0 <= operator.index(value) < _KEY_LIMIT
+            except TypeError:
+                raise InvalidParameterError(f"{name} must be an integer, got {value!r}") from None
+            if not in_range:
+                raise OutOfRangeError(f"{name} must lie in [0, 2**64), got {value}")
+
+    def _key(self) -> tuple[int, int]:
+        return (operator.index(self.seed), operator.index(self.stream_id))
+
     def generator(self) -> np.random.Generator:
-        key = np.array(
-            [self.seed & 0xFFFFFFFFFFFFFFFF, self.stream_id & 0xFFFFFFFFFFFFFFFF],
-            dtype=np.uint64,
-        )
-        return np.random.Generator(np.random.Philox(key=key))
+        return np.random.Generator(np.random.Philox(key=np.array(self._key(), dtype=np.uint64)))
+
+    def _rekey(self, gen: np.random.Generator) -> np.random.Generator:
+        """Rewind a Philox-backed `gen` in place to the start of this stream.
+
+        Later draws equal those of `self.generator()`; setting the state is
+        several times cheaper than building a new bit generator.
+        """
+        gen.bit_generator.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": _ZERO_WORDS, "key": self._key()},
+            "buffer": _ZERO_WORDS,
+            "buffer_pos": len(_ZERO_WORDS),
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        return gen
 
 
 RngLike = Union[RandomSource, np.random.Generator]
@@ -122,29 +158,32 @@ def allocate_shots(qpd: QuasiProbDecomposition, total: int) -> ShotAllocation:
     return ShotAllocation(total=total, per_term=tuple(int(c) for c in counts))
 
 
-def estimate_cut_expectation(
-    qpd: QuasiProbDecomposition,
-    prep: np.ndarray,
-    observable: np.ndarray,
-    total_shots: int,
-    rng: RngLike,
-    mode: str = "stratified",
-) -> float:
-    """Signed recombination of finite-shot branch estimates.
+@dataclass(frozen=True)
+class _Budget:
+    """What one estimate needs of (decomposition, total shots, mode), whatever the preparation."""
 
-    Each branch's +1 count is drawn from Binomial(shots_i, p_i) with the exact
-    probability p_i of measuring +1 after its channel, all in one call.
-    stratified: the budget is split proportionally to the coefficients and
-    each branch is sampled with its share; the estimate is sum_i c_i est_i.
-    multinomial: every shot first draws a term index with probability p_i,
-    then a single +/-1 outcome weighted by sign(c_i) * kappa; the mean over
-    all shots is returned.  Both are unbiased for the exact expectation
-    whenever the decomposition reconstructs the identity.
-    """
+    total: int
+    allocation: tuple[int, ...] | None  # stratified split; None draws a multinomial split
+    probabilities: np.ndarray  # term probabilities |c_i| / kappa
+    weights: tuple[float, ...]  # c_i (stratified) or sign(c_i) * kappa (multinomial)
+
+
+def _budget(qpd: QuasiProbDecomposition, total_shots: int, mode: str) -> _Budget:
     if total_shots < 1:
         raise ZeroShotsError(f"total_shots must be >= 1, got {total_shots}")
     if mode not in MODES:
         raise InvalidParameterError(f"mode must be one of {MODES}, got {mode!r}")
+    if mode == "stratified":
+        allocation = allocate_shots(qpd, total_shots).per_term
+        weights = tuple(float(t.coefficient) for t in qpd.terms)
+        return _Budget(total_shots, allocation, qpd.probabilities, weights)
+    return _Budget(total_shots, None, qpd.probabilities, tuple((qpd.signs * qpd.kappa).tolist()))
+
+
+def _plus_probabilities(
+    qpd: QuasiProbDecomposition, prep: np.ndarray, observable: np.ndarray
+) -> tuple[float, ...]:
+    """Checks one preparation; returns each term's +1 probability, clipped to [0, 1]."""
     column = as_matrix(prep)[:, 0]
     dim = column.shape[0]
     obs = _check_observable(observable, dim)
@@ -162,16 +201,43 @@ def estimate_cut_expectation(
     p_plus = 0.5 * (1.0 + values)
     if np.any((p_plus < -PROBABILITY_TOL) | (p_plus > 1.0 + PROBABILITY_TOL)):
         raise InvalidProbabilityError(f"outcome probabilities {p_plus} outside [0, 1]")
-    gen = as_generator(rng)
-    if mode == "stratified":
-        shots = np.array(allocate_shots(qpd, total_shots).per_term)
-    else:
-        shots = gen.multinomial(total_shots, qpd.probabilities)
-    # Terms without shots draw nothing: Binomial(0, p) consumes no randomness.
-    outcome_sums = 2.0 * gen.binomial(shots, np.clip(p_plus, 0.0, 1.0)) - shots
-    drawn = shots > 0
-    # Python's sum adds left to right from 0.0; the golden CSVs pin these bits.
-    if mode == "stratified":
-        coefficients = np.array([t.coefficient for t in qpd.terms])
-        return float(sum(coefficients[drawn] * (outcome_sums[drawn] / shots[drawn]), 0.0))
-    return float(sum(qpd.signs[drawn] * qpd.kappa * outcome_sums[drawn], 0.0) / total_shots)
+    return tuple(np.clip(p_plus, 0.0, 1.0).tolist())
+
+
+def _draw_estimate(budget: _Budget, p_plus: tuple[float, ...], gen: np.random.Generator) -> float:
+    """One signed recombination of binomial branch counts for checked inputs."""
+    stratified = budget.allocation is not None
+    shots = budget.allocation if stratified else gen.multinomial(budget.total, budget.probabilities).tolist()
+    # Scalar draws in term order consume the stream exactly as one array draw
+    # would, and terms without shots draw nothing.  The sum runs left to right
+    # from 0.0 in plain float adds; the golden CSVs pin these bits.
+    total = 0.0
+    for weight, n, p in zip(budget.weights, shots, p_plus):
+        if n:
+            outcome_sum = 2.0 * gen.binomial(n, p) - n
+            total += weight * (outcome_sum / n) if stratified else weight * outcome_sum
+    return total if stratified else total / budget.total
+
+
+def estimate_cut_expectation(
+    qpd: QuasiProbDecomposition,
+    prep: np.ndarray,
+    observable: np.ndarray,
+    total_shots: int,
+    rng: RngLike,
+    mode: str = "stratified",
+) -> float:
+    """Signed recombination of finite-shot branch estimates.
+
+    Each branch's +1 count is drawn from Binomial(shots_i, p_i) with the exact
+    probability p_i of measuring +1 after its channel.
+    stratified: the budget is split proportionally to the coefficients and
+    each branch is sampled with its share; the estimate is sum_i c_i est_i.
+    multinomial: every shot first draws a term index with probability p_i,
+    then a single +/-1 outcome weighted by sign(c_i) * kappa; the mean over
+    all shots is returned.  Both are unbiased for the exact expectation
+    whenever the decomposition reconstructs the identity.
+    """
+    budget = _budget(qpd, total_shots, mode)
+    p_plus = _plus_probabilities(qpd, prep, observable)
+    return _draw_estimate(budget, p_plus, as_generator(rng))

@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import InvalidParameterError, NmecutError
 from .estimator import MODES, RandomSource, RngLike, as_generator, estimate_cut_expectation, exact_expectation
+from .estimator import _budget, _draw_estimate, _plus_probabilities
 from .linalg import Z
 from .qpd import QuasiProbDecomposition, nme_wire_cut
 from .states import checked_overlap, k_from_f
@@ -45,6 +46,11 @@ ORDERING_MIN_SHOTS = 1000
 _W_ROLE = 1 << 40
 _W_UNPAIRED_ROLE = 1 << 41
 _SAMPLE_ROLE = 1 << 62
+# Index slots packed below the role bits; validate() keeps every index inside
+# its slot, so distinct (role, indices) give distinct stream ids.
+_STATE_BITS = 24
+_SHOT_BITS = 16
+_F_BITS = 16
 
 
 class CsvFormatError(NmecutError):
@@ -65,18 +71,23 @@ class ExperimentConfig:
     def validate(self) -> None:
         if not self.f_values:
             raise InvalidParameterError("f_values must be nonempty")
+        if len(self.f_values) > 1 << _F_BITS:
+            raise InvalidParameterError(f"at most 2**{_F_BITS} f values, got {len(self.f_values)}")
         for f in self.f_values:
             checked_overlap(f)
         if not self.shot_grid:
             raise InvalidParameterError("shot_grid must be nonempty")
+        if len(self.shot_grid) > 1 << _SHOT_BITS:
+            raise InvalidParameterError(f"at most 2**{_SHOT_BITS} shot budgets, got {len(self.shot_grid)}")
         if any(s < 1 for s in self.shot_grid):
             raise InvalidParameterError("shot counts must be positive")
         if any(b <= a for a, b in zip(self.shot_grid, self.shot_grid[1:])):
             raise InvalidParameterError("shot_grid must be strictly increasing")
-        if self.n_states < 1:
-            raise InvalidParameterError(f"n_states must be >= 1, got {self.n_states}")
+        if not 1 <= self.n_states <= 1 << _STATE_BITS:
+            raise InvalidParameterError(f"n_states must lie in [1, 2**{_STATE_BITS}], got {self.n_states}")
         if self.mode not in MODES:
             raise InvalidParameterError(f"unknown mode {self.mode!r}")
+        RandomSource(self.seed)  # rejects seeds outside [0, 2**64)
 
 
 @dataclass(frozen=True)
@@ -114,8 +125,8 @@ def run_trial(
 ) -> float:
     """Absolute error of one cut estimate against the exact expectation.
 
-    Accepts a prebuilt decomposition so sweeps do not reconstruct the same
-    channels for every trial.
+    Accepts a prebuilt decomposition so callers running many trials at one k
+    build its channels once.
     """
     if qpd is None:
         qpd = nme_wire_cut(k)
@@ -126,31 +137,45 @@ def run_trial(
 def _w_stream(config: ExperimentConfig, f_index: int, state_index: int) -> int:
     if config.paired:
         return _W_ROLE + state_index
-    return _W_UNPAIRED_ROLE + (f_index << 24) + state_index
+    return _W_UNPAIRED_ROLE + (f_index << _STATE_BITS) + state_index
 
 
 def _sample_stream(f_index: int, shot_index: int, state_index: int) -> int:
-    return _SAMPLE_ROLE + (f_index << 40) + (shot_index << 24) + state_index
+    return _SAMPLE_ROLE + (f_index << (_SHOT_BITS + _STATE_BITS)) + (shot_index << _STATE_BITS) + state_index
 
 
 def run_sweep(config: ExperimentConfig) -> list[ExperimentRecord]:
-    """One record per (f, shots) pair, averaged over `n_states` random states."""
+    """One record per (f, shots) pair, averaged over `n_states` random states.
+
+    Each trial equals `run_trial` on its own (seed, stream) keys; everything
+    that does not depend on the budget is computed once per state, and one
+    generator is re-keyed for every stream.
+    """
     config.validate()
+    gen = RandomSource(config.seed).generator()
+
+    def preparations(fi: int) -> list[tuple[np.ndarray, float]]:
+        """(W, <0|W^dag Z W|0>) for every state of the f-index `fi`."""
+        preps = [
+            haar_random_unitary(RandomSource(config.seed, _w_stream(config, fi, si))._rekey(gen))
+            for si in range(config.n_states)
+        ]
+        return [(w, exact_expectation(w, Z)) for w in preps]
+
+    # Paired preparations use the same streams for every f.
+    shared = preparations(0) if config.paired else None
     records: list[ExperimentRecord] = []
     for fi, f in enumerate(config.f_values):
         k = k_from_f(f).k
         decomposition = nme_wire_cut(k)
-        preps = [
-            haar_random_unitary(RandomSource(config.seed, _w_stream(config, fi, si)))
-            for si in range(config.n_states)
-        ]
+        states = shared if shared is not None else preparations(fi)
+        p_plus = [_plus_probabilities(decomposition, w, Z) for w, _ in states]
         for ji, shots in enumerate(config.shot_grid):
+            budget = _budget(decomposition, shots, config.mode)
             errors = np.empty(config.n_states)
-            for si in range(config.n_states):
-                source = RandomSource(config.seed, _sample_stream(fi, ji, si))
-                errors[si] = run_trial(
-                    k, preps[si], shots, source, mode=config.mode, qpd=decomposition
-                )
+            for si, ((_, exact), probs) in enumerate(zip(states, p_plus)):
+                RandomSource(config.seed, _sample_stream(fi, ji, si))._rekey(gen)
+                errors[si] = abs(_draw_estimate(budget, probs, gen) - exact)
             std_error = (
                 float(errors.std(ddof=1) / math.sqrt(config.n_states))
                 if config.n_states > 1
@@ -182,28 +207,30 @@ def write_csv(records: Sequence[ExperimentRecord], path: str) -> None:
 
 def read_csv(path: str) -> list[ExperimentRecord]:
     """Parse a sweep CSV; raises CsvFormatError on schema violations."""
+    try:
+        with open(path, newline="", encoding="utf-8") as handle:
+            rows = list(csv.reader(handle))
+    except UnicodeDecodeError as exc:
+        raise CsvFormatError(f"{path}: not UTF-8 text: {exc}") from exc
+    if not rows or tuple(rows[0]) != CSV_HEADER:
+        raise CsvFormatError(f"{path}: expected header {','.join(CSV_HEADER)}")
     records = []
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or tuple(header) != CSV_HEADER:
-            raise CsvFormatError(f"{path}: expected header {','.join(CSV_HEADER)}")
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(CSV_HEADER):
-                raise CsvFormatError(f"{path}:{lineno}: expected {len(CSV_HEADER)} fields")
-            try:
-                records.append(
-                    ExperimentRecord(
-                        f=float(row[0]),
-                        k=float(row[1]),
-                        shots=int(row[2]),
-                        avg_error=float(row[3]),
-                        std_error=float(row[4]),
-                        n_states=int(row[5]),
-                    )
+    for lineno, row in enumerate(rows[1:], start=2):
+        if len(row) != len(CSV_HEADER):
+            raise CsvFormatError(f"{path}:{lineno}: expected {len(CSV_HEADER)} fields")
+        try:
+            records.append(
+                ExperimentRecord(
+                    f=float(row[0]),
+                    k=float(row[1]),
+                    shots=int(row[2]),
+                    avg_error=float(row[3]),
+                    std_error=float(row[4]),
+                    n_states=int(row[5]),
                 )
-            except ValueError as exc:
-                raise CsvFormatError(f"{path}:{lineno}: {exc}") from exc
+            )
+        except ValueError as exc:
+            raise CsvFormatError(f"{path}:{lineno}: {exc}") from exc
     return records
 
 
@@ -226,14 +253,22 @@ def loglog_slope(shots: Sequence[int], errors: Sequence[float]) -> float:
 def check_records(records: Sequence[ExperimentRecord]) -> list[str]:
     """Validate the sweep invariants; returns one message per failure.
 
-    Checks the per-f log-log slope band and, when at least two f values are
+    Every avg_error cell must be positive and finite.  Checks the per-f
+    log-log slope band over those cells and, when at least two f values are
     present, strict error ordering between the least and most entangled
     series at every budget of ORDERING_MIN_SHOTS shots or more.
     """
     failures: list[str] = []
     series = _series_by_f(records)
     for f, rows in sorted(series.items()):
-        points = [(r.shots, r.avg_error) for r in rows if r.avg_error > 0]
+        points = []
+        for r in rows:
+            if math.isfinite(r.avg_error) and r.avg_error > 0:
+                points.append((r.shots, r.avg_error))
+            else:
+                failures.append(
+                    f"f={f:g}, shots={r.shots}: avg_error {r.avg_error!r} is not a positive finite number"
+                )
         if len(points) < 2:
             continue
         slope = loglog_slope([p[0] for p in points], [p[1] for p in points])

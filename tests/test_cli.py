@@ -184,6 +184,27 @@ class TestExperiment:
         assert run_cli(args + ["--seed", "99", "--out", str(b)], capsys)[0] == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_non_integer_seed_env_var_exits_two(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("NMECUT_SEED", "abc")
+        code, _, err = run_cli(
+            ["experiment", "--n-states", "1", "--shots", "10", "--f", "1.0",
+             "--out", str(tmp_path / "x.csv")],
+            capsys,
+        )
+        assert code == 2
+        assert "NMECUT_SEED" in err
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("seed", ["-5", str(2**64)])
+    def test_seed_outside_uint64_exits_two(self, seed, tmp_path, capsys):
+        code, _, err = run_cli(
+            ["experiment", "--n-states", "1", "--shots", "10", "--f", "1.0",
+             "--seed", seed, "--out", str(tmp_path / "x.csv")],
+            capsys,
+        )
+        assert code == 2
+        assert "seed" in err
+
     def test_unwritable_output_exits_one(self, tmp_path, capsys):
         code, _, err = run_cli(
             [
@@ -254,6 +275,30 @@ class TestPlot:
             ["plot", "--in", str(bad), "--out", str(tmp_path / "x.svg")], capsys
         )
         assert code == 2
+
+    def test_assert_fails_when_every_error_is_nan(self, tmp_path, capsys):
+        nan_csv = tmp_path / "nan.csv"
+        rows = ["f,k,shots,avg_error,std_error,n_states"]
+        for shots in (250, 1000, 4000):
+            rows.append(f"0.5,0.0,{shots},nan,nan,10")
+            rows.append(f"1.0,1.0,{shots},nan,nan,10")
+        nan_csv.write_text("\n".join(rows) + "\n")
+        code, out, err = run_cli(
+            ["plot", "--in", str(nan_csv), "--out", str(tmp_path / "n.svg"), "--assert"],
+            capsys,
+        )
+        assert code == 1
+        assert "all checks passed" not in out
+        assert err.count("check failed") >= 6
+
+    def test_non_utf8_csv_exits_two(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.csv"
+        bad.write_bytes("f,k,shots,avg_error,std_error,n_states\n0.5,0,250,0.1,0.01,10 é\n".encode("latin-1"))
+        code, _, err = run_cli(
+            ["plot", "--in", str(bad), "--out", str(tmp_path / "x.svg")], capsys
+        )
+        assert code == 2
+        assert "UTF-8" in err
 
     def test_missing_file_exits_two(self, tmp_path, capsys):
         code, _, _ = run_cli(

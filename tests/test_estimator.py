@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nmecut.errors import (
     DimensionMismatchError,
@@ -12,6 +14,7 @@ from nmecut.errors import (
     NotHermitianError,
     NotUnitaryError,
     NotUnitTraceError,
+    OutOfRangeError,
     ZeroShotsError,
 )
 from nmecut.channels import conjugate_channel, measure_prepare_flip_channel, teleportation_channel, unitary_channel
@@ -41,9 +44,44 @@ class TestRandomSource:
         b = RandomSource(123, 1).generator().random(8)
         assert not np.array_equal(a, b)
 
-    def test_large_ids_are_masked(self):
-        src = RandomSource(2**70 + 5, 2**65)
-        src.generator().random()  # must not raise
+    @pytest.mark.parametrize(
+        "seed, stream_id",
+        [(-5, 0), (2**64, 0), (2**70 + 5, 2**65), (0, -1), (0, 2**64)],
+        ids=["negative-seed", "seed-2**64", "both-above", "negative-stream", "stream-2**64"],
+    )
+    def test_rejects_keys_outside_uint64(self, seed, stream_id):
+        # Masking to 64 bits used to alias e.g. seed -5 with seed 2**64 - 5.
+        with pytest.raises(OutOfRangeError):
+            RandomSource(seed, stream_id)
+
+    def test_rejects_non_integer_keys(self):
+        with pytest.raises(InvalidParameterError):
+            RandomSource(1.5, 0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        stream_id=st.integers(0, 2**64 - 1),
+        n=st.integers(0, 5000),
+        p=st.floats(0.0, 1.0),
+    )
+    @example(seed=0, stream_id=0, n=10, p=0.5)
+    @example(seed=2**64 - 1, stream_id=2**64 - 1, n=3000, p=0.9)
+    @example(seed=0, stream_id=2**64 - 1, n=0, p=0.3)
+    @example(seed=2**64 - 1, stream_id=0, n=1, p=1.0)
+    def test_rekeyed_generator_matches_fresh_stream(self, seed, stream_id, n, p):
+        source = RandomSource(seed, stream_id)
+        fresh = source.generator()
+        expected = (fresh.binomial(n, p), fresh.multinomial(n, [0.25, 0.5, 0.25]), fresh.random())
+        # Leave buffered bits and a cached binomial set-up behind first.
+        gen = RandomSource(7, 7).generator()
+        gen.integers(0, 2**32, dtype=np.uint32)
+        gen.binomial(77, 0.3)
+        source._rekey(gen)
+        got = (gen.binomial(n, p), gen.multinomial(n, [0.25, 0.5, 0.25]), gen.random())
+        assert got[0] == expected[0]
+        np.testing.assert_array_equal(got[1], expected[1])
+        assert got[2] == expected[2]
 
 
 class TestExactExpectation:

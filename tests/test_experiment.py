@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import hurwitz_unitary, rank_sum_z
 from nmecut.errors import InvalidParameterError
@@ -12,6 +14,8 @@ from nmecut.experiment import (
     CsvFormatError,
     ExperimentConfig,
     ExperimentRecord,
+    _sample_stream,
+    _w_stream,
     check_records,
     haar_random_unitary,
     loglog_slope,
@@ -22,6 +26,8 @@ from nmecut.experiment import (
     write_csv,
 )
 from nmecut.linalg import H, I2
+from nmecut.qpd import nme_wire_cut
+from nmecut.states import k_from_f
 
 
 class TestHaarRandomUnitary:
@@ -130,6 +136,84 @@ class TestRunSweep:
         with pytest.raises(InvalidParameterError):
             ExperimentConfig(mode="bogus").validate()
 
+    @pytest.mark.parametrize("seed", [-5, 2**64])
+    def test_config_rejects_seed_outside_uint64(self, seed):
+        with pytest.raises(InvalidParameterError):
+            ExperimentConfig(seed=seed).validate()
+
+    def test_config_bounds_keep_stream_keys_disjoint(self):
+        # Index fields are packed into 24/16/16-bit slots of the stream id.
+        ExperimentConfig(n_states=2**24, shot_grid=tuple(range(1, 2**16 + 1))).validate()
+        with pytest.raises(InvalidParameterError):
+            ExperimentConfig(n_states=2**24 + 1).validate()
+        with pytest.raises(InvalidParameterError):
+            ExperimentConfig(shot_grid=tuple(range(1, 2**16 + 2))).validate()
+        with pytest.raises(InvalidParameterError):
+            ExperimentConfig(f_values=(0.5,) * (2**16 + 1)).validate()
+
+    @pytest.mark.parametrize("mode", ["stratified", "multinomial"])
+    @pytest.mark.parametrize("paired", [True, False])
+    def test_matches_trial_by_trial_reference(self, mode, paired):
+        # Reference sweep from public pieces: one fresh stream per preparation
+        # and per trial.  Budgets of 1-3 shots leave some terms without shots.
+        config = ExperimentConfig(
+            f_values=(0.5, 0.8, 1.0), shot_grid=(1, 2, 3, 10, 250), n_states=7,
+            seed=2024, mode=mode, paired=paired,
+        )
+        expected = []
+        for fi, f in enumerate(config.f_values):
+            k = k_from_f(f).k
+            qpd = nme_wire_cut(k)
+            preps = [
+                haar_random_unitary(RandomSource(config.seed, _w_stream(config, fi, si)))
+                for si in range(config.n_states)
+            ]
+            for ji, shots in enumerate(config.shot_grid):
+                errors = np.array([
+                    run_trial(
+                        k, preps[si], shots,
+                        RandomSource(config.seed, _sample_stream(fi, ji, si)), mode, qpd,
+                    )
+                    for si in range(config.n_states)
+                ])
+                expected.append(
+                    ExperimentRecord(
+                        f=f, k=k, shots=shots, avg_error=float(errors.mean()),
+                        std_error=float(errors.std(ddof=1) / math.sqrt(config.n_states)),
+                        n_states=config.n_states,
+                    )
+                )
+        assert run_sweep(config) == expected
+
+
+# Index bounds enforced by ExperimentConfig.validate.
+_F_INDEX = st.integers(0, 2**16 - 1)
+_SHOT_INDEX = st.integers(0, 2**16 - 1)
+_STATE_INDEX = st.integers(0, 2**24 - 1)
+# (role, indices) -> stream id; paired preparations ignore the f index by design.
+_STREAM_KEYS = st.one_of(
+    st.tuples(st.just("w_paired"), st.tuples(_STATE_INDEX)),
+    st.tuples(st.just("w_unpaired"), st.tuples(_F_INDEX, _STATE_INDEX)),
+    st.tuples(st.just("sample"), st.tuples(_F_INDEX, _SHOT_INDEX, _STATE_INDEX)),
+)
+
+
+def _stream_id(role, indices):
+    if role == "w_paired":
+        return _w_stream(ExperimentConfig(paired=True), 0, indices[0])
+    if role == "w_unpaired":
+        return _w_stream(ExperimentConfig(paired=False), *indices)
+    return _sample_stream(*indices)
+
+
+class TestStreamKeys:
+    @settings(max_examples=300, deadline=None)
+    @given(a=_STREAM_KEYS, b=_STREAM_KEYS)
+    def test_keys_are_injective_across_roles(self, a, b):
+        id_a, id_b = _stream_id(*a), _stream_id(*b)
+        assert 0 <= id_a < 2**64
+        assert (id_a == id_b) == (a == b)
+
 
 class TestSweepInvariants:
     def test_endpoint_ordering_at_largest_budget(self, acceptance_sweep):
@@ -214,6 +298,12 @@ class TestCsvRoundTrip:
         with pytest.raises(CsvFormatError):
             read_csv(str(path))
 
+    def test_rejects_non_utf8(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"f,k,shots,avg_error,std_error,n_states\n0.5,0,250,0.1\xe9,0.01,10\n")
+        with pytest.raises(CsvFormatError):
+            read_csv(str(path))
+
 
 def synthetic_records(f_values, shot_values, scale=1.0, slope=-0.5):
     records = []
@@ -274,6 +364,28 @@ class TestChecksAndPlot:
         # and constant series fail the slope band instead.
         failures = check_records(flipped)
         assert all("slope" in msg for msg in failures)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -0.1])
+    def test_check_flags_every_unusable_error_cell(self, bad):
+        records = synthetic_records((0.5, 1.0), (250, 1000, 4000))
+        broken = [
+            ExperimentRecord(
+                f=r.f, k=r.k, shots=r.shots, avg_error=bad if r.shots == 1000 else r.avg_error,
+                std_error=r.std_error, n_states=r.n_states,
+            )
+            for r in records
+        ]
+        failures = check_records(broken)
+        assert sum("shots=1000" in msg and "positive finite" in msg for msg in failures) == 2
+
+    def test_check_fails_when_nothing_is_checkable(self):
+        records = [
+            ExperimentRecord(f=f, k=0.0, shots=s, avg_error=float("nan"), std_error=0.0, n_states=1)
+            for f in (0.5, 1.0)
+            for s in (250, 1000)
+        ]
+        failures = check_records(records)
+        assert sum("positive finite" in msg for msg in failures) == 4
 
     def test_render_svg_polylines_and_legend(self, tmp_path):
         records = synthetic_records(
