@@ -1,8 +1,10 @@
 """Command-line interface.
 
-Subcommands: overhead, decompose, verify, experiment, plot.  Exit codes:
-0 success, 1 check or runtime failure, 2 usage error.  Numeric output uses
-12 significant digits so golden-output tests stay stable.
+Subcommands: overhead, decompose, verify, experiment, plot.  Exit codes,
+chosen in `main` only: 0 success; 1 failed check, runtime failure or
+unwritable output; 2 usage error, including a missing or unreadable
+--config or --in.  Numeric output uses 12 significant digits so
+golden-output tests stay stable.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -21,7 +24,6 @@ from .experiment import (
     DEFAULT_F_VALUES,
     DEFAULT_N_STATES,
     DEFAULT_SEED,
-    DEFAULT_SHOT_GRID,
     CsvFormatError,
     ExperimentConfig,
     check_records,
@@ -45,40 +47,19 @@ USAGE_ERROR = 2
 CHECK_FAILURE = 1
 
 
-def _default_seed() -> int:
-    value = os.environ.get(SEED_ENV_VAR)
-    if value is None:
-        return DEFAULT_SEED
-    try:
-        return int(value)
-    except ValueError:
-        raise InvalidParameterError(f"{SEED_ENV_VAR} must be an integer, got {value!r}") from None
-
-
 def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
 def cmd_overhead(args: argparse.Namespace) -> int:
     if (args.k is None) == (args.f is None):
-        print("error: pass exactly one of --k or --f", file=sys.stderr)
-        return USAGE_ERROR
-    try:
-        gamma = optimal_overhead_pure(args.k) if args.k is not None else optimal_overhead(args.f)
-    except InvalidParameterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    print(_fmt(gamma))
+        raise InvalidParameterError("pass exactly one of --k or --f")
+    print(_fmt(optimal_overhead_pure(args.k) if args.k is not None else optimal_overhead(args.f)))
     return 0
 
 
 def cmd_decompose(args: argparse.Namespace) -> int:
-    try:
-        decomposition = nme_wire_cut(args.k)
-    except InvalidParameterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    print(decomposition.describe())
+    print(nme_wire_cut(args.k).describe())
     return 0
 
 
@@ -89,20 +70,14 @@ def _max_choi_deviation(decomposition) -> float:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.all == (args.k is not None):
-        print("error: pass exactly one of --k or --all", file=sys.stderr)
-        return USAGE_ERROR
+        raise InvalidParameterError("pass exactly one of --k or --all")
     cases: list[tuple[str, object]] = []
     if args.all:
         cases.append(("harada", harada_wire_cut()))
         ks = [round(0.1 * i, 10) for i in range(11)]
     else:
         ks = [args.k]
-    try:
-        for k in ks:
-            cases.append((f"k={k:g}", nme_wire_cut(k)))
-    except InvalidParameterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+    cases += [(f"k={k:g}", nme_wire_cut(k)) for k in ks]
     worst = 0.0
     for label, decomposition in cases:
         deviation = _max_choi_deviation(decomposition)
@@ -112,46 +87,31 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if worst <= VERIFY_TOL else CHECK_FAILURE
 
 
-def _merge_experiment_config(args: argparse.Namespace) -> ExperimentConfig:
-    file_values: dict = {}
+def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
+    """File values overlaid by the given flags; $NMECUT_SEED sets the seed only if neither does."""
+    values: object = {}
     if args.config is not None:
-        with open(args.config, encoding="utf-8") as handle:
-            file_values = json.load(handle)
-
-    def pick(flag_value, key: str, default):
-        if flag_value is not None:
-            return flag_value
-        if key in file_values:
-            return file_values[key]
-        return default
-
-    seed = pick(args.seed, "seed", None)
-    return ExperimentConfig(
-        f_values=tuple(pick(args.f, "f_values", DEFAULT_F_VALUES)),
-        shot_grid=tuple(pick(args.shots, "shot_grid", DEFAULT_SHOT_GRID)),
-        n_states=pick(args.n_states, "n_states", DEFAULT_N_STATES),
-        seed=_default_seed() if seed is None else seed,
-        mode=pick(args.mode, "mode", "stratified"),
-        paired=not args.unpaired,
-    )
+        try:
+            with open(args.config, encoding="utf-8") as handle:
+                values = json.load(handle)
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise InvalidParameterError(f"--config {args.config}: {exc}") from exc
+    if isinstance(values, dict):  # from_mapping rejects anything else
+        for field in fields(ExperimentConfig):
+            if getattr(args, field.name) is not None:
+                values[field.name] = getattr(args, field.name)
+        env_seed = os.environ.get(SEED_ENV_VAR)
+        if "seed" not in values and env_seed is not None:
+            try:
+                values["seed"] = int(env_seed)
+            except ValueError:
+                raise InvalidParameterError(f"{SEED_ENV_VAR} must be an integer, got {env_seed!r}") from None
+    return ExperimentConfig.from_mapping(values)
 
 
 def cmd_experiment(args: argparse.Namespace) -> int:
-    try:
-        config = _merge_experiment_config(args)
-        config.validate()
-    except (InvalidParameterError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return CHECK_FAILURE
-    records = run_sweep(config)
-    try:
-        write_csv(records, args.out)
-    except OSError as exc:
-        print(f"error: {args.out}: {exc}", file=sys.stderr)
-        return CHECK_FAILURE
+    records = run_sweep(_experiment_config(args))
+    write_csv(records, args.out)
     print(f"wrote {len(records)} records to {args.out}")
     print(f"{'f':>6} {'k':>14} {'shots':>6} {'avg_error':>14} {'std_error':>14}")
     for r in records:
@@ -162,20 +122,11 @@ def cmd_experiment(args: argparse.Namespace) -> int:
 def cmd_plot(args: argparse.Namespace) -> int:
     try:
         records = read_csv(args.infile)
-    except CsvFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+        raise InvalidParameterError(f"--in {args.infile}: {exc}") from exc
     if not records:
-        print("error: CSV contains no records", file=sys.stderr)
-        return USAGE_ERROR
-    try:
-        render_svg(records, args.out)
-    except OSError as exc:
-        print(f"error: {args.out}: {exc}", file=sys.stderr)
-        return CHECK_FAILURE
+        raise CsvFormatError(f"{args.infile}: CSV contains no records")
+    render_svg(records, args.out)
     print(f"wrote {args.out}")
     if args.check:
         failures = check_records(records)
@@ -209,17 +160,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("experiment", help="run the shot-budget sweep and write CSV")
-    p.add_argument("--f", type=float, nargs="+", help=f"overlap values (default {list(DEFAULT_F_VALUES)})")
-    p.add_argument("--shots", type=int, nargs="+", help="shot budgets (default 250..5000 step 250)")
+    # Each dest is an ExperimentConfig field name, so given flags overlay the config file by name.
+    p.add_argument(
+        "--f", dest="f_values", metavar="F", type=float, nargs="+",
+        help=f"overlap values (default {list(DEFAULT_F_VALUES)})",
+    )
+    p.add_argument(
+        "--shots", dest="shot_grid", metavar="SHOTS", type=int, nargs="+",
+        help="shot budgets (default 250..5000 step 250)",
+    )
     p.add_argument("--n-states", type=int, help=f"random states per cell (default {DEFAULT_N_STATES})")
     p.add_argument(
         "--seed",
         type=int,
         help=f"random seed (default ${SEED_ENV_VAR} if set, else {DEFAULT_SEED})",
     )
-    p.add_argument("--mode", choices=MODES, help="sampling mode (default stratified)")
-    p.add_argument("--unpaired", action="store_true", help="draw independent W sequences per f value")
-    p.add_argument("--config", help="JSON config file; explicit flags override file values")
+    p.add_argument("--mode", choices=MODES, help=f"sampling mode (default {ExperimentConfig.mode})")
+    p.add_argument(
+        "--unpaired", dest="paired", action="store_false", default=None,
+        help="draw independent W sequences per f value",
+    )
+    p.add_argument("--config", help="JSON object keyed by ExperimentConfig field names; flags override it")
     p.add_argument("--out", default="experiment.csv", help="output CSV path")
     p.set_defaults(func=cmd_experiment)
 
@@ -233,11 +194,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except NmecutError as exc:
+    except (InvalidParameterError, CsvFormatError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
+    except (NmecutError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return CHECK_FAILURE
 

@@ -108,16 +108,24 @@ class ShotAllocation:
             raise InvalidParameterError("per-term shots must sum to the total")
 
 
-def _check_observable(observable: np.ndarray, dim: int) -> Matrix:
-    """Coerce O and require it square, Hermitian and acting on `dim` levels."""
+def _check_observable(observable: np.ndarray, dim: int | None = None) -> Matrix:
+    """Coerce O and require it square, Hermitian and, if given, acting on `dim` levels."""
     obs = as_matrix(observable)
+    dim = obs.shape[0] if dim is None else dim
     if obs.shape != (dim, dim):
-        raise DimensionMismatchError(
-            f"observable shape {obs.shape} does not match state dim {dim}"
-        )
+        raise DimensionMismatchError(f"observable shape {obs.shape} is not ({dim}, {dim})")
     herm = np.abs(obs - dagger(obs)).max()
     if herm > HERMITIAN_TOL:
         raise NotHermitianError(f"max |O - O^dag| = {herm:.3e} > {HERMITIAN_TOL}")
+    return obs
+
+
+def _pm_one_observable(observable: np.ndarray) -> Matrix:
+    """Checks O once for sampling: square, Hermitian, eigenvalues all +/-1."""
+    obs = _check_observable(observable)
+    eigs = np.linalg.eigvalsh(obs)
+    if np.any(np.abs(np.abs(eigs) - 1.0) > OBSERVABLE_TOL):
+        raise InvalidObservableError(f"observable eigenvalues {eigs} are not all +/-1")
     return obs
 
 
@@ -180,16 +188,12 @@ def _budget(qpd: QuasiProbDecomposition, total_shots: int, mode: str) -> _Budget
     return _Budget(total_shots, None, qpd.probabilities, tuple((qpd.signs * qpd.kappa).tolist()))
 
 
-def _plus_probabilities(
-    qpd: QuasiProbDecomposition, prep: np.ndarray, observable: np.ndarray
-) -> tuple[float, ...]:
-    """Checks one preparation; returns each term's +1 probability, clipped to [0, 1]."""
+def _plus_probabilities(qpd: QuasiProbDecomposition, prep: np.ndarray, obs: Matrix) -> tuple[float, ...]:
+    """Checks one preparation against a checked `obs`; returns each term's +1 probability in [0, 1]."""
     column = as_matrix(prep)[:, 0]
     dim = column.shape[0]
-    obs = _check_observable(observable, dim)
-    eigs = np.linalg.eigvalsh(obs)
-    if np.any(np.abs(np.abs(eigs) - 1.0) > OBSERVABLE_TOL):
-        raise InvalidObservableError(f"observable eigenvalues {eigs} are not all +/-1")
+    if obs.shape != (dim, dim):
+        raise DimensionMismatchError(f"observable shape {obs.shape} does not match state dim {dim}")
     rho = np.outer(column, column.conj())
     norm_error = abs(rho.trace() - 1.0)
     if norm_error > TRACE_TOL:
@@ -239,5 +243,5 @@ def estimate_cut_expectation(
     whenever the decomposition reconstructs the identity.
     """
     budget = _budget(qpd, total_shots, mode)
-    p_plus = _plus_probabilities(qpd, prep, observable)
+    p_plus = _plus_probabilities(qpd, prep, _pm_one_observable(observable))
     return _draw_estimate(budget, p_plus, as_generator(rng))

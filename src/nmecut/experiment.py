@@ -17,14 +17,16 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+import numbers
+from collections.abc import Mapping
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
 
 from .errors import InvalidParameterError, NmecutError
 from .estimator import MODES, RandomSource, RngLike, as_generator, estimate_cut_expectation, exact_expectation
-from .estimator import _budget, _draw_estimate, _plus_probabilities
+from .estimator import _budget, _draw_estimate, _plus_probabilities, _pm_one_observable
 from .linalg import Z
 from .qpd import QuasiProbDecomposition, nme_wire_cut
 from .states import checked_overlap, k_from_f
@@ -46,8 +48,8 @@ ORDERING_MIN_SHOTS = 1000
 _W_ROLE = 1 << 40
 _W_UNPAIRED_ROLE = 1 << 41
 _SAMPLE_ROLE = 1 << 62
-# Index slots packed below the role bits; validate() keeps every index inside
-# its slot, so distinct (role, indices) give distinct stream ids.
+# Index slots packed below the role bits; ExperimentConfig bounds every index
+# to its slot, so distinct (role, indices) give distinct stream ids.
 _STATE_BITS = 24
 _SHOT_BITS = 16
 _F_BITS = 16
@@ -57,9 +59,14 @@ class CsvFormatError(NmecutError):
     """CSV file does not match the sweep schema."""
 
 
+def _is_a(value: object, kind: type) -> bool:
+    """isinstance that does not count a bool as a number."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Sweep parameters; defaults mirror the desk-scale study."""
+    """Sweep parameters, checked on construction; defaults mirror the desk-scale study."""
 
     f_values: tuple[float, ...] = DEFAULT_F_VALUES
     shot_grid: tuple[int, ...] = DEFAULT_SHOT_GRID
@@ -68,26 +75,47 @@ class ExperimentConfig:
     mode: str = "stratified"
     paired: bool = True
 
-    def validate(self) -> None:
-        if not self.f_values:
-            raise InvalidParameterError("f_values must be nonempty")
-        if len(self.f_values) > 1 << _F_BITS:
-            raise InvalidParameterError(f"at most 2**{_F_BITS} f values, got {len(self.f_values)}")
+    def __post_init__(self) -> None:
+        for name, bits, kind, noun in (
+            ("f_values", _F_BITS, numbers.Real, "numbers"),
+            ("shot_grid", _SHOT_BITS, numbers.Integral, "integers"),
+        ):
+            values = getattr(self, name)
+            if not isinstance(values, (list, tuple)):
+                raise InvalidParameterError(f"{name} must be a list, got {values!r}")
+            if not 1 <= len(values) <= 1 << bits:
+                raise InvalidParameterError(f"{name} must hold 1 to 2**{bits} entries, got {len(values)}")
+            for value in values:
+                if not _is_a(value, kind):
+                    raise InvalidParameterError(f"{name} must hold {noun}, got {value!r}")
+            object.__setattr__(self, name, tuple(values))
+        for name in ("n_states", "seed"):
+            if not _is_a(getattr(self, name), numbers.Integral):
+                raise InvalidParameterError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        if not isinstance(self.paired, bool):
+            raise InvalidParameterError(f"paired must be true or false, got {self.paired!r}")
         for f in self.f_values:
             checked_overlap(f)
-        if not self.shot_grid:
-            raise InvalidParameterError("shot_grid must be nonempty")
-        if len(self.shot_grid) > 1 << _SHOT_BITS:
-            raise InvalidParameterError(f"at most 2**{_SHOT_BITS} shot budgets, got {len(self.shot_grid)}")
-        if any(s < 1 for s in self.shot_grid):
-            raise InvalidParameterError("shot counts must be positive")
-        if any(b <= a for a, b in zip(self.shot_grid, self.shot_grid[1:])):
-            raise InvalidParameterError("shot_grid must be strictly increasing")
+        if any(b <= a for a, b in zip((0,) + self.shot_grid, self.shot_grid)):
+            raise InvalidParameterError("shot_grid must be positive and strictly increasing")
         if not 1 <= self.n_states <= 1 << _STATE_BITS:
             raise InvalidParameterError(f"n_states must lie in [1, 2**{_STATE_BITS}], got {self.n_states}")
         if self.mode not in MODES:
             raise InvalidParameterError(f"unknown mode {self.mode!r}")
         RandomSource(self.seed)  # rejects seeds outside [0, 2**64)
+
+    @classmethod
+    def from_mapping(cls, values: object) -> ExperimentConfig:
+        """Config from a JSON object keyed by field names; absent fields keep their defaults."""
+        names = [f.name for f in fields(cls)]
+        if not isinstance(values, Mapping):
+            raise InvalidParameterError(
+                f"config must be an object keyed by {', '.join(names)}, not {type(values).__name__}"
+            )
+        unknown = [key for key in values if key not in names]
+        if unknown:
+            raise InvalidParameterError(f"unknown config key {unknown[0]!r}; the keys are {', '.join(names)}")
+        return cls(**values)
 
 
 @dataclass(frozen=True)
@@ -151,8 +179,8 @@ def run_sweep(config: ExperimentConfig) -> list[ExperimentRecord]:
     that does not depend on the budget is computed once per state, and one
     generator is re-keyed for every stream.
     """
-    config.validate()
     gen = RandomSource(config.seed).generator()
+    obs = _pm_one_observable(Z)
 
     def preparations(fi: int) -> list[tuple[np.ndarray, float]]:
         """(W, <0|W^dag Z W|0>) for every state of the f-index `fi`."""
@@ -169,7 +197,7 @@ def run_sweep(config: ExperimentConfig) -> list[ExperimentRecord]:
         k = k_from_f(f).k
         decomposition = nme_wire_cut(k)
         states = shared if shared is not None else preparations(fi)
-        p_plus = [_plus_probabilities(decomposition, w, Z) for w, _ in states]
+        p_plus = [_plus_probabilities(decomposition, w, obs) for w, _ in states]
         for ji, shots in enumerate(config.shot_grid):
             budget = _budget(decomposition, shots, config.mode)
             errors = np.empty(config.n_states)

@@ -129,11 +129,6 @@ class PureState:
         v.flags.writeable = False
         object.__setattr__(self, "amplitudes", v)
 
-    @classmethod
-    def from_amplitudes(cls, v: npt.ArrayLike) -> "PureState":
-        v = np.asarray(v, dtype=complex)
-        return cls(dim=v.shape[0], amplitudes=v)
-
     def density(self) -> DensityOperator:
         """|psi><psi| as a validated density operator."""
         return DensityOperator.from_matrix(np.outer(self.amplitudes, self.amplitudes.conj()))

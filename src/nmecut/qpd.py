@@ -92,8 +92,12 @@ class QuasiProbDecomposition:
 
 
 def _coefficients(p: NmeParameter) -> tuple[float, float]:
-    """(a, b) = ((k^2+1)/(k+1)^2, (k-1)^2/(k+1)^2) for the pair |phi_k>."""
-    kk = p.k
+    """(a, b) = ((k^2+1)/(k+1)^2, (k-1)^2/(k+1)^2) for the pair |phi_k>.
+
+    Both are unchanged under k -> 1/k; k > 1 is evaluated through 1/k so that
+    k*k cannot overflow.
+    """
+    kk = p.k if p.k <= 1.0 else 1.0 / p.k
     a = (kk * kk + 1.0) / ((kk + 1.0) * (kk + 1.0))
     b = (kk - 1.0) * (kk - 1.0) / ((kk + 1.0) * (kk + 1.0))
     return a, b

@@ -38,6 +38,9 @@ class NmeParameter:
 
     @property
     def K(self) -> float:
+        if self.k > 1.0:  # K(k) = j K(j) with j = 1/k, so k*k cannot overflow
+            j = 1.0 / self.k
+            return j / math.sqrt(1.0 + j * j)
         return 1.0 / math.sqrt(1.0 + self.k * self.k)
 
 

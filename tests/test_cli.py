@@ -44,6 +44,11 @@ class TestOverhead:
     def test_negative_k(self, capsys):
         assert run_cli(["overhead", "--k", "-2"], capsys)[0] == 2
 
+    def test_huge_k_is_the_entanglement_free_limit(self, capsys):
+        code, out, _ = run_cli(["overhead", "--k", "1e200"], capsys)
+        assert code == 0
+        assert out.strip() == "3"
+
 
 class TestDecompose:
     def test_maximally_entangled_two_terms(self, capsys):
@@ -218,6 +223,54 @@ class TestExperiment:
         )
         assert code == 1
         assert "x.csv" in err
+
+
+# Each malformed config, with the text its error must name.
+MALFORMED_CONFIGS = [
+    (b"[1,2]", "f_values"),
+    (b'{"n_states": 2.5}', "n_states"),
+    (b'{"n_states": true}', "n_states"),
+    (b'{"f_values": "0.9"}', "f_values"),
+    (b'{"n_state": 2}', "n_state"),
+    (b'{"seed": true}', "seed"),
+    (b'{"paired": "false"}', "paired"),
+    (None, "nope.json"),
+    ('{"seed": 1, "note": "caf\u00e9"}'.encode("latin-1"), "malformed.json"),
+]
+
+
+class TestExperimentConfigErrors:
+    @pytest.mark.parametrize(
+        "content, named",
+        MALFORMED_CONFIGS,
+        ids=["not-an-object", "float-n-states", "bool-n-states", "string-f-values", "typo",
+             "bool-seed", "string-paired", "missing-file", "not-utf8"],
+    )
+    def test_malformed_config_exits_two(self, content, named, tmp_path, capsys):
+        config = tmp_path / ("nope.json" if content is None else "malformed.json")
+        if content is not None:
+            config.write_bytes(content)
+        out_path = tmp_path / "x.csv"
+        code, _, err = run_cli(
+            ["experiment", "--config", str(config), "--out", str(out_path)], capsys
+        )
+        assert code == 2
+        assert "Traceback" not in err
+        assert named in err
+        assert not out_path.exists()
+
+    def test_paired_false_in_file_matches_unpaired_flag(self, tmp_path, capsys):
+        base = {"f_values": [0.5, 1.0], "shot_grid": [10, 100], "n_states": 3, "seed": 5}
+        config = tmp_path / "unpaired.json"
+        config.write_text(json.dumps(dict(base, paired=False)))
+        plain = tmp_path / "paired.json"
+        plain.write_text(json.dumps(base))
+        a, b, c = tmp_path / "file.csv", tmp_path / "flag.csv", tmp_path / "paired.csv"
+        assert run_cli(["experiment", "--config", str(config), "--out", str(a)], capsys)[0] == 0
+        assert run_cli(["experiment", "--config", str(plain), "--unpaired", "--out", str(b)], capsys)[0] == 0
+        assert run_cli(["experiment", "--config", str(plain), "--out", str(c)], capsys)[0] == 0
+        assert a.read_bytes() == b.read_bytes()
+        assert a.read_bytes() != c.read_bytes()
 
 
 class TestPlot:

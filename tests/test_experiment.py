@@ -126,30 +126,30 @@ class TestRunSweep:
 
     def test_config_validation(self):
         with pytest.raises(InvalidParameterError):
-            ExperimentConfig(f_values=(0.4,)).validate()
+            ExperimentConfig(f_values=(0.4,))
         with pytest.raises(InvalidParameterError):
-            ExperimentConfig(shot_grid=(100, 100)).validate()
+            ExperimentConfig(shot_grid=(100, 100))
         with pytest.raises(InvalidParameterError):
-            ExperimentConfig(shot_grid=()).validate()
+            ExperimentConfig(shot_grid=())
         with pytest.raises(InvalidParameterError):
-            ExperimentConfig(n_states=0).validate()
+            ExperimentConfig(n_states=0)
         with pytest.raises(InvalidParameterError):
-            ExperimentConfig(mode="bogus").validate()
+            ExperimentConfig(mode="bogus")
 
     @pytest.mark.parametrize("seed", [-5, 2**64])
     def test_config_rejects_seed_outside_uint64(self, seed):
         with pytest.raises(InvalidParameterError):
-            ExperimentConfig(seed=seed).validate()
+            ExperimentConfig(seed=seed)
 
     def test_config_bounds_keep_stream_keys_disjoint(self):
         # Index fields are packed into 24/16/16-bit slots of the stream id.
-        ExperimentConfig(n_states=2**24, shot_grid=tuple(range(1, 2**16 + 1))).validate()
+        ExperimentConfig(n_states=2**24, shot_grid=tuple(range(1, 2**16 + 1)))
         with pytest.raises(InvalidParameterError):
-            ExperimentConfig(n_states=2**24 + 1).validate()
+            ExperimentConfig(n_states=2**24 + 1)
         with pytest.raises(InvalidParameterError):
-            ExperimentConfig(shot_grid=tuple(range(1, 2**16 + 2))).validate()
+            ExperimentConfig(shot_grid=tuple(range(1, 2**16 + 2)))
         with pytest.raises(InvalidParameterError):
-            ExperimentConfig(f_values=(0.5,) * (2**16 + 1)).validate()
+            ExperimentConfig(f_values=(0.5,) * (2**16 + 1))
 
     @pytest.mark.parametrize("mode", ["stratified", "multinomial"])
     @pytest.mark.parametrize("paired", [True, False])
@@ -186,7 +186,61 @@ class TestRunSweep:
         assert run_sweep(config) == expected
 
 
-# Index bounds enforced by ExperimentConfig.validate.
+class TestConfigFromMapping:
+    def test_absent_keys_keep_defaults_and_lists_become_tuples(self):
+        config = ExperimentConfig.from_mapping({"f_values": [0.9], "shot_grid": [10, 20], "paired": False})
+        assert config == ExperimentConfig(f_values=(0.9,), shot_grid=(10, 20), paired=False)
+        assert isinstance(config.f_values, tuple) and isinstance(config.shot_grid, tuple)
+        assert ExperimentConfig.from_mapping({}) == ExperimentConfig()
+
+    def test_accepts_numpy_scalars(self):
+        config = ExperimentConfig.from_mapping(
+            {"f_values": [np.float64(0.9)], "shot_grid": [np.int64(10)], "n_states": np.int64(2)}
+        )
+        assert config.n_states == 2
+
+    @pytest.mark.parametrize("values", [[1, 2], "f_values", None, 3])
+    def test_rejects_non_object(self, values):
+        with pytest.raises(InvalidParameterError, match="object"):
+            ExperimentConfig.from_mapping(values)
+
+    @pytest.mark.parametrize("key", ["n_state", "shots", "identity_prep", "Seed"])
+    def test_rejects_unknown_key(self, key):
+        with pytest.raises(InvalidParameterError, match=repr(key)):
+            ExperimentConfig.from_mapping({"n_states": 2, key: 1})
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("f_values", "0.9"),
+            ("f_values", 0.9),
+            ("f_values", {"0.9": 1}),
+            ("f_values", ["0.9"]),
+            ("f_values", [True]),
+            ("f_values", [None]),
+            ("shot_grid", 100),
+            ("shot_grid", [100.0]),
+            ("shot_grid", [True, 2]),
+            ("n_states", 2.5),
+            ("n_states", 2.0),
+            ("n_states", True),
+            ("n_states", "2"),
+            ("seed", True),
+            ("seed", 1.0),
+            ("seed", None),
+            ("mode", ["stratified"]),
+            ("mode", None),
+            ("paired", "false"),
+            ("paired", 0),
+            ("paired", None),
+        ],
+    )
+    def test_rejects_wrong_type_naming_the_key(self, key, value):
+        with pytest.raises(InvalidParameterError, match=key):
+            ExperimentConfig.from_mapping({key: value})
+
+
+# Index bounds enforced when an ExperimentConfig is constructed.
 _F_INDEX = st.integers(0, 2**16 - 1)
 _SHOT_INDEX = st.integers(0, 2**16 - 1)
 _STATE_INDEX = st.integers(0, 2**24 - 1)

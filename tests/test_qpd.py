@@ -1,5 +1,7 @@
 """Tests for the wire-cut decompositions and overhead formulas."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,7 @@ from nmecut.qpd import (
     reconstruct_channel,
     resource_consumption_rate,
 )
-from nmecut.states import nme_state, overlap_f_pure
+from nmecut.states import NmeParameter, nme_state, overlap_f_pure
 
 
 def identity_choi():
@@ -133,6 +135,26 @@ class TestNmeWireCut:
             deviation = np.abs(reconstruct_channel(nme_wire_cut(k)) - identity_choi()).max()
             assert deviation <= 1e-10
             assert nme_wire_cut(k).kappa == pytest.approx(closed_form_overhead(k), abs=1e-12)
+
+
+class TestLargeK:
+    """k > 1 goes through its mirror 1/k, which has the same a and b."""
+
+    def test_huge_k_is_finite_and_reconstructs(self):
+        assert abs(optimal_overhead_pure(1e200) - 3.0) <= 1e-12
+        assert abs(resource_consumption_rate(1e200) - 2.0) <= 1e-12
+        qpd = nme_wire_cut(1e200)
+        assert np.abs(reconstruct_channel(qpd) - identity_choi()).max() <= 1e-10
+        assert kraus_action_identity_deviation(qpd) <= 1e-10
+
+    def test_matches_direct_formula_where_it_does_not_overflow(self):
+        for k in np.geomspace(1.001, 1e150, 2001).tolist():
+            a = (k * k + 1.0) / ((k + 1.0) * (k + 1.0))
+            assert resource_consumption_rate(k) == pytest.approx(2.0 * a, rel=1e-15, abs=0)
+            assert NmeParameter(k).K == pytest.approx(1.0 / math.sqrt(1.0 + k * k), rel=1e-15, abs=0)
+            if k >= 2.0:  # nearer 1, k - 1 is exact but 1 - 1/k is not
+                b = (k - 1.0) * (k - 1.0) / ((k + 1.0) * (k + 1.0))
+                assert -nme_wire_cut(k).terms[2].coefficient == pytest.approx(b, rel=1e-15, abs=0)
 
 
 class TestOverheadFormulas:
