@@ -35,6 +35,7 @@ from .linalg import (
     dagger,
     kron,
 )
+from .states import _BELL_VECTORS
 
 TRACE_PRESERVING_TOL = 1e-10
 UNITARY_TOL = 1e-10
@@ -134,10 +135,6 @@ def measure_prepare_flip_channel() -> QuantumChannel:
     k0 = np.array([[0, 0], [1, 0]], dtype=complex)  # |1><0|
     k1 = np.array([[0, 1], [0, 0]], dtype=complex)  # |0><1|
     return QuantumChannel([k0, k1], name="measure-prepare-flip")
-
-
-_PHI = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / np.sqrt(2.0)
-_BELL_VECTORS = {name: kron(sigma, I2) @ _PHI for name, sigma in PAULIS.items()}
 
 
 def bell_overlaps(rho: DensityOperator) -> dict[str, float]:

@@ -35,6 +35,7 @@ OBSERVABLE_TOL = 1e-10
 PROBABILITY_TOL = 1e-10
 
 MODES = ("stratified", "multinomial")
+MAX_SHOTS = 1 << 48  # far enough below 2**53 that allocate_shots' float64 split stays exact
 
 
 # Two 64-bit words key a Philox stream; counter and buffer start empty.
@@ -96,18 +97,6 @@ def as_generator(rng: RngLike) -> np.random.Generator:
     return rng
 
 
-@dataclass(frozen=True)
-class ShotAllocation:
-    """Deterministic split of a shot budget across decomposition terms."""
-
-    total: int
-    per_term: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if sum(self.per_term) != self.total:
-            raise InvalidParameterError("per-term shots must sum to the total")
-
-
 def _check_observable(observable: np.ndarray, dim: int | None = None) -> Matrix:
     """Coerce O and require it square, Hermitian and, if given, acting on `dim` levels."""
     obs = as_matrix(observable)
@@ -140,15 +129,15 @@ def exact_expectation(prep: np.ndarray, observable: np.ndarray) -> float:
     return float(np.real(column.conj() @ obs @ column))
 
 
-def allocate_shots(qpd: QuasiProbDecomposition, total: int) -> ShotAllocation:
+def allocate_shots(qpd: QuasiProbDecomposition, total: int) -> tuple[int, ...]:
     """Largest-remainder split of `total` shots proportional to |c_i|/kappa.
 
     Ties go to the lower term index.  Whenever the budget covers every
     nonzero-probability term, each such term is guaranteed at least one shot
     so that no signed term is silently dropped.
     """
-    if total < 0:
-        raise InvalidParameterError(f"total must be >= 0, got {total}")
+    if not 0 <= total <= MAX_SHOTS:
+        raise OutOfRangeError(f"total must lie in [0, 2**48], got {total}")
     probs = qpd.probabilities
     quotas = probs * total
     counts = np.floor(quotas).astype(int)
@@ -163,7 +152,7 @@ def allocate_shots(qpd: QuasiProbDecomposition, total: int) -> ShotAllocation:
                 donor = max(range(len(counts)), key=lambda j: (counts[j], -j))
                 counts[donor] -= 1
                 counts[i] += 1
-    return ShotAllocation(total=total, per_term=tuple(int(c) for c in counts))
+    return tuple(int(c) for c in counts)
 
 
 @dataclass(frozen=True)
@@ -179,10 +168,12 @@ class _Budget:
 def _budget(qpd: QuasiProbDecomposition, total_shots: int, mode: str) -> _Budget:
     if total_shots < 1:
         raise ZeroShotsError(f"total_shots must be >= 1, got {total_shots}")
+    if total_shots > MAX_SHOTS:
+        raise OutOfRangeError(f"total_shots must be <= 2**48, got {total_shots}")
     if mode not in MODES:
         raise InvalidParameterError(f"mode must be one of {MODES}, got {mode!r}")
     if mode == "stratified":
-        allocation = allocate_shots(qpd, total_shots).per_term
+        allocation = allocate_shots(qpd, total_shots)
         weights = tuple(float(t.coefficient) for t in qpd.terms)
         return _Budget(total_shots, allocation, qpd.probabilities, weights)
     return _Budget(total_shots, None, qpd.probabilities, tuple((qpd.signs * qpd.kappa).tolist()))

@@ -15,12 +15,14 @@ configuration reproduces byte-identical CSV output.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
 import numbers
-from collections.abc import Mapping
+import os
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, fields
-from typing import Sequence
+from typing import Sequence, TextIO
 
 import numpy as np
 
@@ -76,9 +78,10 @@ class ExperimentConfig:
     paired: bool = True
 
     def __post_init__(self) -> None:
-        for name, bits, kind, noun in (
-            ("f_values", _F_BITS, numbers.Real, "numbers"),
-            ("shot_grid", _SHOT_BITS, numbers.Integral, "integers"),
+        # Stored as plain float and int, so a numpy or JSON-integer f writes the CSV text `--f` does.
+        for name, bits, kind, noun, cast in (
+            ("f_values", _F_BITS, numbers.Real, "numbers", float),
+            ("shot_grid", _SHOT_BITS, numbers.Integral, "integers", int),
         ):
             values = getattr(self, name)
             if not isinstance(values, (list, tuple)):
@@ -88,10 +91,12 @@ class ExperimentConfig:
             for value in values:
                 if not _is_a(value, kind):
                     raise InvalidParameterError(f"{name} must hold {noun}, got {value!r}")
-            object.__setattr__(self, name, tuple(values))
+            object.__setattr__(self, name, tuple(cast(value) for value in values))
         for name in ("n_states", "seed"):
-            if not _is_a(getattr(self, name), numbers.Integral):
-                raise InvalidParameterError(f"{name} must be an integer, got {getattr(self, name)!r}")
+            value = getattr(self, name)
+            if not _is_a(value, numbers.Integral):
+                raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if not isinstance(self.paired, bool):
             raise InvalidParameterError(f"paired must be true or false, got {self.paired!r}")
         for f in self.f_values:
@@ -222,9 +227,26 @@ def run_sweep(config: ExperimentConfig) -> list[ExperimentRecord]:
     return records
 
 
+@contextlib.contextmanager
+def _replacing(path: str) -> Iterator[TextIO]:
+    """Text handle on a temporary file beside `path` that replaces `path` on success.
+
+    A write that fails midway removes the temporary file and leaves `path` as it was.
+    """
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", newline="", encoding="utf-8") as handle:
+            yield handle
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
+
+
 def write_csv(records: Sequence[ExperimentRecord], path: str) -> None:
     """Write records in the sweep schema; floats use shortest round-trip form."""
-    with open(path, "w", newline="", encoding="utf-8") as handle:
+    with _replacing(path) as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(CSV_HEADER)
         for r in records:
@@ -428,5 +450,5 @@ def render_svg(records: Sequence[ExperimentRecord], path: str) -> None:
         )
 
     parts.append("</svg>")
-    with open(path, "w", encoding="utf-8") as handle:
+    with _replacing(path) as handle:
         handle.write("\n".join(parts) + "\n")

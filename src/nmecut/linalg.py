@@ -8,8 +8,6 @@ and the most significant bit of a computational-basis index.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import prod
-from typing import Iterable, Sequence
 
 import numpy as np
 import numpy.typing as npt
@@ -102,11 +100,6 @@ class DensityOperator:
             raise NotPositiveError(f"minimum eigenvalue {lo:.3e} < -{POSITIVITY_TOL}")
         object.__setattr__(self, "matrix", _freeze(m))
 
-    @classmethod
-    def from_matrix(cls, m: npt.ArrayLike) -> "DensityOperator":
-        m = as_matrix(m)
-        return cls(dim=m.shape[0], matrix=m)
-
 
 @dataclass(frozen=True)
 class PureState:
@@ -131,40 +124,10 @@ class PureState:
 
     def density(self) -> DensityOperator:
         """|psi><psi| as a validated density operator."""
-        return DensityOperator.from_matrix(np.outer(self.amplitudes, self.amplitudes.conj()))
+        return validate_density(np.outer(self.amplitudes, self.amplitudes.conj()))
 
 
 def validate_density(m: npt.ArrayLike) -> DensityOperator:
     """Validate a raw matrix as a density operator or raise the named violation."""
-    return DensityOperator.from_matrix(m)
-
-
-def partial_trace(
-    rho: DensityOperator, dims: Sequence[int], traced: Iterable[int]
-) -> DensityOperator:
-    """Trace out the listed subsystems of a composite density operator.
-
-    `dims` lists the subsystem dimensions in tensor order; `traced` holds the
-    indices (into `dims`) to remove.  The trace of the result is preserved.
-    """
-    dims = list(dims)
-    traced_set = set(traced)
-    if prod(dims) != rho.dim:
-        raise DimensionMismatchError(
-            f"product of dims {dims} = {prod(dims)} does not match rho.dim {rho.dim}"
-        )
-    n = len(dims)
-    if not traced_set or not traced_set < set(range(n)):
-        raise InvalidParameterError(
-            f"traced must be a nonempty proper subset of subsystem indices, got {sorted(traced_set)}"
-        )
-    tensor = rho.matrix.reshape(dims + dims)
-    row_idx = list(range(n))
-    col_idx = [n + i for i in range(n)]
-    for i in traced_set:
-        col_idx[i] = row_idx[i]
-    keep = [i for i in range(n) if i not in traced_set]
-    out_idx = [row_idx[i] for i in keep] + [n + i for i in keep]
-    reduced = np.einsum(tensor, row_idx + col_idx, out_idx)
-    d = prod(dims[i] for i in keep)
-    return DensityOperator(dim=d, matrix=reduced.reshape(d, d))
+    m = as_matrix(m)
+    return DensityOperator(dim=m.shape[0], matrix=m)

@@ -23,6 +23,10 @@ from .linalg import PAULIS, TRACE_TOL, I2, PureState, kron
 
 RANGE_TOL = 1e-12
 
+_PHI = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / np.sqrt(2.0)
+# Bell vectors (sigma x I)|phi>, built once: bell_overlaps reads them on every call.
+_BELL_VECTORS = {name: kron(sigma, I2) @ _PHI for name, sigma in PAULIS.items()}
+
 
 @dataclass(frozen=True)
 class NmeParameter:
@@ -86,8 +90,7 @@ def bell_state(sigma: str) -> PureState:
     """Bell-basis vector (sigma x I)|phi> for sigma in {I, X, Y, Z}."""
     if sigma not in PAULIS:
         raise InvalidParameterError(f"sigma must be one of {sorted(PAULIS)}, got {sigma!r}")
-    phi = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / np.sqrt(2.0)
-    return PureState(dim=4, amplitudes=kron(PAULIS[sigma], I2) @ phi)
+    return PureState(dim=4, amplitudes=_BELL_VECTORS[sigma])
 
 
 def schmidt_decompose(psi: PureState) -> SchmidtForm:

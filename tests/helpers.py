@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
@@ -38,40 +37,6 @@ def hurwitz_unitary(rng: np.random.Generator) -> np.ndarray:
         ]
     )
     return np.exp(1j * alpha) * su2
-
-
-def brute_force_partial_trace(matrix: np.ndarray, dims: list[int], traced: set[int]) -> np.ndarray:
-    """Index-contraction oracle for the partial trace, no reshaping tricks."""
-    n = len(dims)
-    keep = [i for i in range(n) if i not in traced]
-    traced_list = sorted(traced)
-    keep_dims = [dims[i] for i in keep]
-    out_dim = int(np.prod(keep_dims))
-    out = np.zeros((out_dim, out_dim), dtype=complex)
-
-    def flat(assignment: dict[int, int]) -> int:
-        index = 0
-        for pos in range(n):
-            index = index * dims[pos] + assignment[pos]
-        return index
-
-    def packed(values: tuple[int, ...]) -> int:
-        index = 0
-        for d, v in zip(keep_dims, values):
-            index = index * d + v
-        return index
-
-    for row_vals in itertools.product(*[range(d) for d in keep_dims]):
-        for col_vals in itertools.product(*[range(d) for d in keep_dims]):
-            total = 0.0 + 0.0j
-            for tr_vals in itertools.product(*[range(dims[i]) for i in traced_list]):
-                row = dict(zip(keep, row_vals))
-                row.update(zip(traced_list, tr_vals))
-                col = dict(zip(keep, col_vals))
-                col.update(zip(traced_list, tr_vals))
-                total += matrix[flat(row), flat(col)]
-            out[packed(row_vals), packed(col_vals)] = total
-    return out
 
 
 def rank_sum_z(a: np.ndarray, b: np.ndarray) -> float:

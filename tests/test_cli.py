@@ -236,6 +236,7 @@ MALFORMED_CONFIGS = [
     (b'{"paired": "false"}', "paired"),
     (None, "nope.json"),
     ('{"seed": 1, "note": "caf\u00e9"}'.encode("latin-1"), "malformed.json"),
+    (b'{"shot_grid": [100000000000000000000], "n_states": 1}', "total_shots"),
 ]
 
 
@@ -244,7 +245,7 @@ class TestExperimentConfigErrors:
         "content, named",
         MALFORMED_CONFIGS,
         ids=["not-an-object", "float-n-states", "bool-n-states", "string-f-values", "typo",
-             "bool-seed", "string-paired", "missing-file", "not-utf8"],
+             "bool-seed", "string-paired", "missing-file", "not-utf8", "huge-shots"],
     )
     def test_malformed_config_exits_two(self, content, named, tmp_path, capsys):
         config = tmp_path / ("nope.json" if content is None else "malformed.json")
@@ -258,6 +259,15 @@ class TestExperimentConfigErrors:
         assert "Traceback" not in err
         assert named in err
         assert not out_path.exists()
+
+    def test_integer_f_in_file_matches_float_flag(self, tmp_path, capsys):
+        config = tmp_path / "int-f.json"
+        config.write_text(json.dumps({"f_values": [1], "shot_grid": [10, 100], "n_states": 3, "seed": 5}))
+        flags = ["--f", "1", "--shots", "10", "100", "--n-states", "3", "--seed", "5"]
+        a, b = tmp_path / "file.csv", tmp_path / "flag.csv"
+        assert run_cli(["experiment", "--config", str(config), "--out", str(a)], capsys)[0] == 0
+        assert run_cli(["experiment", *flags, "--out", str(b)], capsys)[0] == 0
+        assert a.read_bytes() == b.read_bytes()
 
     def test_paired_false_in_file_matches_unpaired_flag(self, tmp_path, capsys):
         base = {"f_values": [0.5, 1.0], "shot_grid": [10, 100], "n_states": 3, "seed": 5}

@@ -19,6 +19,7 @@ from nmecut.errors import (
 )
 from nmecut.channels import conjugate_channel, measure_prepare_flip_channel, teleportation_channel, unitary_channel
 from nmecut.estimator import (
+    MAX_SHOTS,
     RandomSource,
     allocate_shots,
     estimate_cut_expectation,
@@ -107,23 +108,23 @@ class TestExactExpectation:
 
 class TestAllocateShots:
     def test_exact_division(self):
-        assert allocate_shots(harada_wire_cut(), 9).per_term == (3, 3, 3)
+        assert allocate_shots(harada_wire_cut(), 9) == (3, 3, 3)
 
     def test_half_entangled_exact_split(self):
         # Probabilities (5/11, 5/11, 1/11) with an 11-shot budget.
-        assert allocate_shots(nme_wire_cut(0.5), 11).per_term == (5, 5, 1)
+        assert allocate_shots(nme_wire_cut(0.5), 11) == (5, 5, 1)
 
     def test_zero_budget(self):
-        assert allocate_shots(harada_wire_cut(), 0).per_term == (0, 0, 0)
+        assert allocate_shots(harada_wire_cut(), 0) == (0, 0, 0)
 
     def test_tie_break_favors_lower_index(self):
-        assert allocate_shots(harada_wire_cut(), 10).per_term == (4, 3, 3)
+        assert allocate_shots(harada_wire_cut(), 10) == (4, 3, 3)
 
     @pytest.mark.parametrize("total", [0, 1, 7, 100, 4999, 5000])
     def test_sum_matches_total(self, total):
         for qpd in (harada_wire_cut(), nme_wire_cut(0.5), nme_wire_cut(1.0)):
             allocation = allocate_shots(qpd, total)
-            assert sum(allocation.per_term) == total
+            assert sum(allocation) == total
 
     def test_minimum_one_shot_when_budget_allows(self):
         # The negative term has probability ~1e-3; rounding alone would
@@ -131,11 +132,32 @@ class TestAllocateShots:
         qpd = nme_wire_cut(0.94)
         assert qpd.probabilities[2] > 0
         allocation = allocate_shots(qpd, 3)
-        assert allocation.per_term == (1, 1, 1)
+        assert allocation == (1, 1, 1)
 
     def test_small_budget_cannot_cover_all_terms(self):
         allocation = allocate_shots(harada_wire_cut(), 2)
-        assert sum(allocation.per_term) == 2
+        assert sum(allocation) == 2
+
+    def test_rejects_budget_beyond_max_shots(self):
+        # Past 2**53 the float64 split no longer sums to the total.
+        with pytest.raises(OutOfRangeError):
+            allocate_shots(harada_wire_cut(), MAX_SHOTS + 1)
+        for mode in ("stratified", "multinomial"):
+            with pytest.raises(OutOfRangeError):
+                estimate_cut_expectation(harada_wire_cut(), I2, Z, 10**20, RandomSource(0), mode=mode)
+
+    @settings(max_examples=100, deadline=None)
+    @given(k=st.floats(0.0, 1.0), total=st.integers(0, 10_000))
+    @example(k=0.94, total=3)
+    @example(k=1.0, total=1)
+    def test_split_sums_to_total_and_covers_every_term(self, k, total):
+        qpd = nme_wire_cut(k)
+        allocation = allocate_shots(qpd, total)
+        assert isinstance(allocation, tuple) and len(allocation) == len(qpd.terms)
+        assert sum(allocation) == total and min(allocation) >= 0
+        nonzero = [i for i, p in enumerate(qpd.probabilities) if p > 0]
+        if total >= len(nonzero):
+            assert all(allocation[i] >= 1 for i in nonzero)
 
 
 def one_term(ch):

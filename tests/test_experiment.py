@@ -1,6 +1,7 @@
 """Tests for the sweep harness, persistence, and chart rendering."""
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -195,9 +196,11 @@ class TestConfigFromMapping:
 
     def test_accepts_numpy_scalars(self):
         config = ExperimentConfig.from_mapping(
-            {"f_values": [np.float64(0.9)], "shot_grid": [np.int64(10)], "n_states": np.int64(2)}
+            {"f_values": [np.float64(0.9), 1], "shot_grid": [np.int64(10)], "n_states": np.int64(2), "seed": np.uint64(3)}
         )
         assert config.n_states == 2
+        stored = (*config.f_values, *config.shot_grid, config.n_states, config.seed)
+        assert [type(v) for v in stored] == [float, float, int, int, int]
 
     @pytest.mark.parametrize("values", [[1, 2], "f_values", None, 3])
     def test_rejects_non_object(self, values):
@@ -340,6 +343,28 @@ class TestCsvRoundTrip:
         write_csv(run_sweep(config), str(second))
         assert first.read_bytes() == second.read_bytes()
 
+    def test_numpy_scalar_config_round_trips(self, tmp_path):
+        numpy_config = ExperimentConfig(
+            f_values=(np.float64(0.5), 1), shot_grid=(np.int64(64),), n_states=np.int64(2), seed=np.uint64(3)
+        )
+        plain_config = ExperimentConfig(f_values=(0.5, 1.0), shot_grid=(64,), n_states=2, seed=3)
+        numpy_path, plain_path = tmp_path / "numpy.csv", tmp_path / "plain.csv"
+        records = run_sweep(numpy_config)
+        write_csv(records, str(numpy_path))
+        write_csv(run_sweep(plain_config), str(plain_path))
+        assert numpy_path.read_bytes() == plain_path.read_bytes()
+        assert read_csv(str(numpy_path)) == records
+
+    def test_failed_write_leaves_previous_file(self, tmp_path):
+        record = ExperimentRecord(f=1.0, k=1.0, shots=500, avg_error=0.012, std_error=0.001, n_states=200)
+        path = tmp_path / "kept.csv"
+        write_csv([record] * 3, str(path))
+        before = path.read_bytes()
+        with pytest.raises(AttributeError):
+            write_csv([record, None], str(path))  # fails after the header and one row
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["kept.csv"]
+
     def test_rejects_bad_header(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b,c\n1,2,3\n")
@@ -469,6 +494,20 @@ class TestChecksAndPlot:
         path = tmp_path / "zeros.svg"
         render_svg(records, str(path))
         assert path.read_text().count("<circle") == 1
+
+    def test_render_failure_leaves_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "kept.svg"
+        render_svg(synthetic_records((0.5,), (1000,)), str(path))
+        before = path.read_bytes()
+
+        def fail(src, dst):
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError):
+            render_svg(synthetic_records((0.5, 1.0), (250, 500)), str(path))
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["kept.svg"]
 
     def test_render_rejects_empty(self, tmp_path):
         with pytest.raises(InvalidParameterError):

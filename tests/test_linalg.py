@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_force_partial_trace, random_density_matrix
 from nmecut.errors import (
     DimensionMismatchError,
     InvalidParameterError,
@@ -21,10 +20,8 @@ from nmecut.linalg import (
     DensityOperator,
     PureState,
     kron,
-    partial_trace,
     validate_density,
 )
-from nmecut.states import nme_state
 
 
 def small_complex_matrices(rows, cols):
@@ -65,67 +62,6 @@ class TestKron:
     def test_rejects_non_finite(self):
         with pytest.raises(InvalidParameterError):
             kron(np.array([[np.nan, 0], [0, 1]]), I2)
-
-
-class TestPartialTrace:
-    def test_bell_state_reduces_to_maximally_mixed(self):
-        rho = nme_state(1.0).density()
-        reduced = partial_trace(rho, [2, 2], {1})
-        np.testing.assert_allclose(reduced.matrix, I2 / 2, atol=1e-12)
-
-    def test_product_state(self):
-        rho = validate_density(np.diag([1, 0, 0, 0]).astype(complex))  # |00><00|
-        reduced = partial_trace(rho, [2, 2], {0})
-        np.testing.assert_allclose(reduced.matrix, np.diag([1, 0]), atol=1e-15)
-
-    def test_nme_half_reduction(self):
-        # Oracle: brute-force index contraction of |phi_0.5><phi_0.5|.
-        rho = nme_state(0.5).density()
-        expected = brute_force_partial_trace(np.asarray(rho.matrix), [2, 2], {0})
-        np.testing.assert_allclose(expected, np.diag([0.8, 0.2]), atol=1e-12)
-        reduced = partial_trace(rho, [2, 2], {0})
-        np.testing.assert_allclose(reduced.matrix, np.diag([0.8, 0.2]), atol=1e-12)
-
-    def test_matches_brute_force_on_random_states(self):
-        rng = np.random.default_rng(11)
-        for dims, traced in [([2, 2], {0}), ([2, 2], {1}), ([2, 2, 2], {1}), ([2, 2, 2], {0, 2})]:
-            m = random_density_matrix(rng, int(np.prod(dims)))
-            rho = validate_density(m)
-            got = partial_trace(rho, dims, traced)
-            np.testing.assert_allclose(
-                got.matrix, brute_force_partial_trace(m, dims, traced), atol=1e-12
-            )
-
-    def test_trace_preserved(self):
-        rng = np.random.default_rng(5)
-        for _ in range(20):
-            rho = validate_density(random_density_matrix(rng, 4))
-            reduced = partial_trace(rho, [2, 2], {0})
-            assert abs(np.trace(reduced.matrix) - 1.0) <= 1e-12
-
-    def test_product_factorization(self):
-        rng = np.random.default_rng(3)
-        rho_a = random_density_matrix(rng, 2)
-        rho_b = random_density_matrix(rng, 2)
-        joint = validate_density(kron(rho_a, rho_b))
-        np.testing.assert_allclose(
-            partial_trace(joint, [2, 2], {0}).matrix, rho_b, atol=1e-12
-        )
-        np.testing.assert_allclose(
-            partial_trace(joint, [2, 2], {1}).matrix, rho_a, atol=1e-12
-        )
-
-    def test_dimension_mismatch(self):
-        rho = validate_density(np.eye(4) / 4)
-        with pytest.raises(DimensionMismatchError):
-            partial_trace(rho, [2, 2, 2], {0})
-
-    def test_traced_must_be_proper_nonempty_subset(self):
-        rho = validate_density(np.eye(4) / 4)
-        with pytest.raises(InvalidParameterError):
-            partial_trace(rho, [2, 2], set())
-        with pytest.raises(InvalidParameterError):
-            partial_trace(rho, [2, 2], {0, 1})
 
 
 class TestValidateDensity:
