@@ -15,12 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    InvalidParameterError,
-    NotTracePreservingError,
-    NotUnitaryError,
-)
+from .errors import DimensionMismatchError, InvalidParameterError, NotTracePreservingError
 from .linalg import (
     CNOT,
     H,
@@ -32,13 +27,13 @@ from .linalg import (
     DensityOperator,
     Matrix,
     as_matrix,
+    as_unitary,
     dagger,
     kron,
 )
 from .states import _BELL_VECTORS
 
 TRACE_PRESERVING_TOL = 1e-10
-UNITARY_TOL = 1e-10
 
 
 class QuantumChannel:
@@ -101,11 +96,7 @@ class QuantumChannel:
 
 def unitary_channel(u: np.ndarray, name: str = "") -> QuantumChannel:
     """Single-Kraus channel rho -> U rho U^dag."""
-    u = as_matrix(u)
-    residual = np.abs(dagger(u) @ u - np.eye(u.shape[0])).max()
-    if residual > UNITARY_TOL:
-        raise NotUnitaryError(f"max |U^dag U - I| = {residual:.3e} > {UNITARY_TOL}")
-    return QuantumChannel([u], name=name or "unitary")
+    return QuantumChannel([as_unitary(u)], name=name or "unitary")
 
 
 def conjugate_channel(u: np.ndarray, ch: QuantumChannel, name: str = "") -> QuantumChannel:

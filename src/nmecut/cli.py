@@ -94,7 +94,7 @@ def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
         try:
             with open(args.config, encoding="utf-8") as handle:
                 values = json.load(handle)
-        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # ValueError: bad UTF-8 or JSON, or an integer over 4300 digits
             raise InvalidParameterError(f"--config {args.config}: {exc}") from exc
     if isinstance(values, dict):  # from_mapping rejects anything else
         for field in fields(ExperimentConfig):

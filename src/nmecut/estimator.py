@@ -16,19 +16,16 @@ from typing import Union
 
 import numpy as np
 
-from .channels import UNITARY_TOL
 from .errors import (
     DimensionMismatchError,
     InvalidObservableError,
     InvalidParameterError,
     InvalidProbabilityError,
-    NotHermitianError,
-    NotUnitaryError,
     NotUnitTraceError,
     OutOfRangeError,
     ZeroShotsError,
 )
-from .linalg import HERMITIAN_TOL, TRACE_TOL, Matrix, as_matrix, dagger
+from .linalg import TRACE_TOL, Matrix, as_matrix, as_unitary, check_hermitian
 from .qpd import QuasiProbDecomposition
 
 OBSERVABLE_TOL = 1e-10
@@ -58,6 +55,8 @@ class RandomSource:
         for name in ("seed", "stream_id"):
             value = getattr(self, name)
             try:
+                if isinstance(value, bool):  # operator.index(True) is 1
+                    raise TypeError
                 in_range = 0 <= operator.index(value) < _KEY_LIMIT
             except TypeError:
                 raise InvalidParameterError(f"{name} must be an integer, got {value!r}") from None
@@ -103,15 +102,12 @@ def _check_observable(observable: np.ndarray, dim: int | None = None) -> Matrix:
     dim = obs.shape[0] if dim is None else dim
     if obs.shape != (dim, dim):
         raise DimensionMismatchError(f"observable shape {obs.shape} is not ({dim}, {dim})")
-    herm = np.abs(obs - dagger(obs)).max()
-    if herm > HERMITIAN_TOL:
-        raise NotHermitianError(f"max |O - O^dag| = {herm:.3e} > {HERMITIAN_TOL}")
-    return obs
+    return check_hermitian(obs)
 
 
-def _pm_one_observable(observable: np.ndarray) -> Matrix:
-    """Checks O once for sampling: square, Hermitian, eigenvalues all +/-1."""
-    obs = _check_observable(observable)
+def _pm_one_observable(observable: np.ndarray, dim: int | None = None) -> Matrix:
+    """Checks O once for sampling: square, Hermitian, eigenvalues all +/-1, on `dim` levels if given."""
+    obs = _check_observable(observable, dim)
     eigs = np.linalg.eigvalsh(obs)
     if np.any(np.abs(np.abs(eigs) - 1.0) > OBSERVABLE_TOL):
         raise InvalidObservableError(f"observable eigenvalues {eigs} are not all +/-1")
@@ -120,12 +116,12 @@ def _pm_one_observable(observable: np.ndarray) -> Matrix:
 
 def exact_expectation(prep: np.ndarray, observable: np.ndarray) -> float:
     """<0| W^dag O W |0> for a unitary preparation W and Hermitian O."""
-    w = as_matrix(prep)
-    residual = np.abs(dagger(w) @ w - np.eye(w.shape[0])).max()
-    if residual > UNITARY_TOL:
-        raise NotUnitaryError(f"max |W^dag W - I| = {residual:.3e} > {UNITARY_TOL}")
-    obs = _check_observable(observable, w.shape[0])
-    column = w[:, 0]
+    w = as_unitary(prep)
+    return _expectation(w[:, 0], _check_observable(observable, w.shape[0]))
+
+
+def _expectation(column: np.ndarray, obs: Matrix) -> float:
+    """<psi| O |psi> for the state column psi = W|0> and a checked O."""
     return float(np.real(column.conj() @ obs @ column))
 
 
@@ -180,17 +176,14 @@ def _budget(qpd: QuasiProbDecomposition, total_shots: int, mode: str) -> _Budget
 
 
 def _plus_probabilities(qpd: QuasiProbDecomposition, prep: np.ndarray, obs: Matrix) -> tuple[float, ...]:
-    """Checks one preparation against a checked `obs`; returns each term's +1 probability in [0, 1]."""
+    """Checks one preparation against `qpd.dim`; returns each term's +1 probability in [0, 1] for a checked `obs`."""
     column = as_matrix(prep)[:, 0]
-    dim = column.shape[0]
-    if obs.shape != (dim, dim):
-        raise DimensionMismatchError(f"observable shape {obs.shape} does not match state dim {dim}")
+    if column.shape[0] != qpd.dim:
+        raise DimensionMismatchError(f"state dim {column.shape[0]} does not match the channels' dim {qpd.dim}")
     rho = np.outer(column, column.conj())
     norm_error = abs(rho.trace() - 1.0)
     if norm_error > TRACE_TOL:
         raise NotUnitTraceError(f"|<0|W^dag W|0> - 1| = {norm_error:.3e} > {TRACE_TOL}")
-    if any((t.channel.in_dim, t.channel.out_dim) != (dim, dim) for t in qpd.terms):
-        raise DimensionMismatchError(f"state dim {dim} does not match every channel's dims")
 
     values = np.array([np.real(np.trace(obs @ t.channel.act(rho))) for t in qpd.terms])
     p_plus = 0.5 * (1.0 + values)
@@ -234,5 +227,5 @@ def estimate_cut_expectation(
     whenever the decomposition reconstructs the identity.
     """
     budget = _budget(qpd, total_shots, mode)
-    p_plus = _plus_probabilities(qpd, prep, _pm_one_observable(observable))
+    p_plus = _plus_probabilities(qpd, prep, _pm_one_observable(observable, qpd.dim))
     return _draw_estimate(budget, p_plus, as_generator(rng))

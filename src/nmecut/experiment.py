@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import InvalidParameterError, NmecutError
 from .estimator import MODES, RandomSource, RngLike, as_generator, estimate_cut_expectation, exact_expectation
-from .estimator import _budget, _draw_estimate, _plus_probabilities, _pm_one_observable
+from .estimator import _budget, _draw_estimate, _expectation, _plus_probabilities, _pm_one_observable
 from .linalg import Z
 from .qpd import QuasiProbDecomposition, nme_wire_cut
 from .states import checked_overlap, k_from_f
@@ -80,7 +80,7 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         # Stored as plain float and int, so a numpy or JSON-integer f writes the CSV text `--f` does.
         for name, bits, kind, noun, cast in (
-            ("f_values", _F_BITS, numbers.Real, "numbers", float),
+            ("f_values", _F_BITS, numbers.Real, "numbers", checked_overlap),
             ("shot_grid", _SHOT_BITS, numbers.Integral, "integers", int),
         ):
             values = getattr(self, name)
@@ -99,8 +99,6 @@ class ExperimentConfig:
             object.__setattr__(self, name, int(value))
         if not isinstance(self.paired, bool):
             raise InvalidParameterError(f"paired must be true or false, got {self.paired!r}")
-        for f in self.f_values:
-            checked_overlap(f)
         if any(b <= a for a, b in zip((0,) + self.shot_grid, self.shot_grid)):
             raise InvalidParameterError("shot_grid must be positive and strictly increasing")
         if not 1 <= self.n_states <= 1 << _STATE_BITS:
@@ -193,13 +191,13 @@ def run_sweep(config: ExperimentConfig) -> list[ExperimentRecord]:
             haar_random_unitary(RandomSource(config.seed, _w_stream(config, fi, si))._rekey(gen))
             for si in range(config.n_states)
         ]
-        return [(w, exact_expectation(w, Z)) for w in preps]
+        return [(w, _expectation(w[:, 0], obs)) for w in preps]
 
     # Paired preparations use the same streams for every f.
     shared = preparations(0) if config.paired else None
     records: list[ExperimentRecord] = []
     for fi, f in enumerate(config.f_values):
-        k = k_from_f(f).k
+        k = k_from_f(f)
         decomposition = nme_wire_cut(k)
         states = shared if shared is not None else preparations(fi)
         p_plus = [_plus_probabilities(decomposition, w, obs) for w, _ in states]

@@ -17,12 +17,14 @@ from .errors import (
     InvalidParameterError,
     NotHermitianError,
     NotPositiveError,
+    NotUnitaryError,
     NotUnitTraceError,
 )
 
 Matrix = npt.NDArray[np.complex128]
 
 HERMITIAN_TOL = 1e-10
+UNITARY_TOL = 1e-10
 TRACE_TOL = 1e-10
 POSITIVITY_TOL = 1e-10
 NORM_TOL = 1e-12
@@ -60,6 +62,23 @@ def dagger(a: Matrix) -> Matrix:
     return a.conj().T
 
 
+def check_hermitian(m: Matrix) -> Matrix:
+    """Returns the square `m`; NotHermitianError if max |M - M^dag| > HERMITIAN_TOL."""
+    herm = np.abs(m - dagger(m)).max()
+    if herm > HERMITIAN_TOL:
+        raise NotHermitianError(f"max |M - M^dag| = {herm:.3e} > {HERMITIAN_TOL}")
+    return m
+
+
+def as_unitary(u: npt.ArrayLike) -> Matrix:
+    """as_matrix(u); NotUnitaryError if max |U^dag U - I| > UNITARY_TOL."""
+    u = as_matrix(u)
+    residual = np.abs(dagger(u) @ u - np.eye(u.shape[0])).max()
+    if residual > UNITARY_TOL:
+        raise NotUnitaryError(f"max |U^dag U - I| = {residual:.3e} > {UNITARY_TOL}")
+    return u
+
+
 def kron(a: npt.ArrayLike, b: npt.ArrayLike) -> Matrix:
     """Kronecker product with the first factor as the most significant qubit."""
     return np.kron(as_matrix(a), as_matrix(b))
@@ -88,9 +107,7 @@ class DensityOperator:
             raise InvalidParameterError(
                 f"dim must be one of {VALID_DENSITY_DIMS}, got {self.dim}"
             )
-        herm = np.abs(m - dagger(m)).max()
-        if herm > HERMITIAN_TOL:
-            raise NotHermitianError(f"max |M - M^dag| = {herm:.3e} > {HERMITIAN_TOL}")
+        check_hermitian(m)
         tr = m.trace()
         if abs(tr - 1.0) > TRACE_TOL:
             raise NotUnitTraceError(f"|tr(M) - 1| = {abs(tr - 1.0):.3e} > {TRACE_TOL}")

@@ -24,9 +24,9 @@ from .channels import (
     measure_prepare_flip_channel,
     teleportation_channel,
 )
-from .errors import InvalidParameterError
+from .errors import DimensionMismatchError, InvalidParameterError
 from .linalg import H, S, Matrix
-from .states import NmeParameter, _as_param, checked_overlap, nme_state
+from .states import checked_k, checked_overlap, nme_state
 
 COEFFICIENT_SUM_TOL = 1e-12
 
@@ -55,10 +55,11 @@ class QpdTerm:
 
 @dataclass(frozen=True)
 class QuasiProbDecomposition:
-    """Ordered signed mixture sum_i c_i F_i with sum c_i = 1."""
+    """Ordered signed mixture sum_i c_i F_i with sum c_i = 1 of channels on `dim` levels."""
 
     terms: tuple[QpdTerm, ...]
     kappa: float = field(init=False)
+    dim: int = field(init=False)
 
     def __post_init__(self) -> None:
         terms = tuple(self.terms)
@@ -69,7 +70,11 @@ class QuasiProbDecomposition:
             raise InvalidParameterError(
                 f"|sum of coefficients - 1| = {abs(total - 1.0):.3e} > {COEFFICIENT_SUM_TOL}"
             )
+        dim = terms[0].channel.in_dim
+        if any((t.channel.in_dim, t.channel.out_dim) != (dim, dim) for t in terms):
+            raise DimensionMismatchError(f"every term must map dim {dim} to itself")
         object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "kappa", float(sum(abs(t.coefficient) for t in terms)))
 
     @property
@@ -91,13 +96,13 @@ class QuasiProbDecomposition:
         return "\n".join(lines)
 
 
-def _coefficients(p: NmeParameter) -> tuple[float, float]:
+def _coefficients(k: float) -> tuple[float, float]:
     """(a, b) = ((k^2+1)/(k+1)^2, (k-1)^2/(k+1)^2) for the pair |phi_k>.
 
     Both are unchanged under k -> 1/k; k > 1 is evaluated through 1/k so that
     k*k cannot overflow.
     """
-    kk = p.k if p.k <= 1.0 else 1.0 / p.k
+    kk = k if k <= 1.0 else 1.0 / k
     a = (kk * kk + 1.0) / ((kk + 1.0) * (kk + 1.0))
     b = (kk - 1.0) * (kk - 1.0) / ((kk + 1.0) * (kk + 1.0))
     return a, b
@@ -117,16 +122,16 @@ def harada_wire_cut() -> QuasiProbDecomposition:
     return QuasiProbDecomposition(terms)
 
 
-def nme_wire_cut(k: "float | NmeParameter") -> QuasiProbDecomposition:
+def nme_wire_cut(k: float) -> QuasiProbDecomposition:
     """Teleportation-based cut of the identity wire using the pair |phi_k>.
 
     The two positive terms conjugate the teleportation channel by H and SH
     and each consume one entangled pair per shot; at k = 1 the negative term
     has coefficient zero and is omitted.
     """
-    p = _as_param(k)
-    a, b = _coefficients(p)
-    tel = teleportation_channel(nme_state(p).density())
+    k = checked_k(k)
+    a, b = _coefficients(k)
+    tel = teleportation_channel(nme_state(k).density())
     terms = [
         QpdTerm(a, conjugate_channel(U1, tel, name="teleport[H]"), consumes_resource=True),
         QpdTerm(a, conjugate_channel(U2, tel, name="teleport[SH]"), consumes_resource=True),
@@ -141,23 +146,23 @@ def optimal_overhead(f: float) -> float:
     return 2.0 / checked_overlap(f) - 1.0
 
 
-def optimal_overhead_pure(k: "float | NmeParameter") -> float:
+def optimal_overhead_pure(k: float) -> float:
     """Minimal sampling overhead 4(k^2+1)/(k+1)^2 - 1 = 4a - 1 for the pure pair |phi_k>."""
-    a, _ = _coefficients(_as_param(k))
+    a, _ = _coefficients(checked_k(k))
     return 4.0 * a - 1.0
 
 
-def resource_consumption_rate(k: "float | NmeParameter") -> float:
+def resource_consumption_rate(k: float) -> float:
     """Expected entangled pairs consumed per sampled shot: 2(k^2+1)/(k+1)^2.
 
     Equals the signed-weight mass (p1 + p2) * kappa on the teleportation
     terms and the inverse overlap of |phi_k> with the maximally entangled
     state.
     """
-    p = _as_param(k)
-    if p.k <= 0.0:
-        raise InvalidParameterError(f"k must be > 0, got {p.k}")
-    a, _ = _coefficients(p)
+    k = checked_k(k)
+    if k <= 0.0:
+        raise InvalidParameterError(f"k must be > 0, got {k}")
+    a, _ = _coefficients(k)
     return 2.0 * a
 
 

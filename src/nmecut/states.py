@@ -13,6 +13,7 @@ separable at k = 0 and maximally entangled at k = 1; f interpolates between
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -26,30 +27,6 @@ RANGE_TOL = 1e-12
 _PHI = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / np.sqrt(2.0)
 # Bell vectors (sigma x I)|phi>, built once: bell_overlaps reads them on every call.
 _BELL_VECTORS = {name: kron(sigma, I2) @ _PHI for name, sigma in PAULIS.items()}
-
-
-@dataclass(frozen=True)
-class NmeParameter:
-    """Entanglement parameter k with its derived normalizer K = 1/sqrt(1+k^2)."""
-
-    k: float
-
-    def __post_init__(self) -> None:
-        k = float(self.k)
-        if not math.isfinite(k) or k < 0:
-            raise InvalidParameterError(f"k must be finite and >= 0, got {self.k}")
-        object.__setattr__(self, "k", k)
-
-    @property
-    def K(self) -> float:
-        if self.k > 1.0:  # K(k) = j K(j) with j = 1/k, so k*k cannot overflow
-            j = 1.0 / self.k
-            return j / math.sqrt(1.0 + j * j)
-        return 1.0 / math.sqrt(1.0 + self.k * self.k)
-
-
-def _as_param(k: "float | NmeParameter") -> NmeParameter:
-    return k if isinstance(k, NmeParameter) else NmeParameter(float(k))
 
 
 @dataclass(frozen=True)
@@ -79,11 +56,15 @@ class SchmidtForm:
         return out
 
 
-def nme_state(k: "float | NmeParameter") -> PureState:
+def nme_state(k: float) -> PureState:
     """The pair K(|00> + k|11>): separable at k=0, maximally entangled at k=1."""
-    p = _as_param(k)
-    amps = p.K * np.array([1.0, 0.0, 0.0, p.k], dtype=complex)
-    return PureState(dim=4, amplitudes=amps)
+    k = checked_k(k)
+    if k > 1.0:  # K(k) = j K(j) with j = 1/k, so k*k cannot overflow
+        j = 1.0 / k
+        norm = j / math.sqrt(1.0 + j * j)
+    else:
+        norm = 1.0 / math.sqrt(1.0 + k * k)
+    return PureState(dim=4, amplitudes=norm * np.array([1.0, 0.0, 0.0, k], dtype=complex))
 
 
 def bell_state(sigma: str) -> PureState:
@@ -156,15 +137,23 @@ def overlap_f_pure(psi: PureState) -> float:
     return 0.5 * nrm * nrm
 
 
+# Both checks compare before converting: float() of an integer beyond the
+# float range raises OverflowError, and a comparison with NaN is false.
 def checked_overlap(f: float) -> float:
     """Overlap f clamped to [0.5, 1]; OutOfRangeError beyond RANGE_TOL outside."""
-    f = float(f)
     if not 0.5 - RANGE_TOL <= f <= 1.0 + RANGE_TOL:
         raise OutOfRangeError(f"f must lie in [0.5, 1], got {f}")
-    return min(max(f, 0.5), 1.0)
+    return min(max(float(f), 0.5), 1.0)
 
 
-def k_from_f(f: float) -> NmeParameter:
+def checked_k(k: float) -> float:
+    """Entanglement parameter k as a float; InvalidParameterError unless finite and >= 0."""
+    if not 0.0 <= k <= sys.float_info.max:
+        raise InvalidParameterError(f"k must be finite and >= 0, got {k}")
+    return float(k)
+
+
+def k_from_f(f: float) -> float:
     """Invert f = (k+1)^2 / (2(k^2+1)) to the canonical root k in [0, 1].
 
     The mirror root 1/k produces the same f; the sweep configuration uses the
@@ -173,7 +162,7 @@ def k_from_f(f: float) -> NmeParameter:
     f = checked_overlap(f)
     c = 1.0 - 2.0 * f
     if c == 0.0:
-        return NmeParameter(0.0)
+        return 0.0
     # Quadratic c*k^2 + 2k + c = 0; the root in [0, 1] is (-1 + sqrt(1-c^2))/c.
     k = (-1.0 + math.sqrt(max(0.0, 1.0 - c * c))) / c
-    return NmeParameter(min(max(k, 0.0), 1.0))
+    return min(max(k, 0.0), 1.0)

@@ -237,6 +237,8 @@ MALFORMED_CONFIGS = [
     (None, "nope.json"),
     ('{"seed": 1, "note": "caf\u00e9"}'.encode("latin-1"), "malformed.json"),
     (b'{"shot_grid": [100000000000000000000], "n_states": 1}', "total_shots"),
+    (b'{"f_values": [1' + b"0" * 400 + b"]}", "f must lie in [0.5, 1]"),
+    (b'{"f_values": [1' + b"0" * 5000 + b"]}", "malformed.json"),
 ]
 
 
@@ -245,7 +247,8 @@ class TestExperimentConfigErrors:
         "content, named",
         MALFORMED_CONFIGS,
         ids=["not-an-object", "float-n-states", "bool-n-states", "string-f-values", "typo",
-             "bool-seed", "string-paired", "missing-file", "not-utf8", "huge-shots"],
+             "bool-seed", "string-paired", "missing-file", "not-utf8", "huge-shots", "huge-f",
+             "f-over-int-parse-limit"],
     )
     def test_malformed_config_exits_two(self, content, named, tmp_path, capsys):
         config = tmp_path / ("nope.json" if content is None else "malformed.json")

@@ -56,8 +56,9 @@ class TestRandomSource:
             RandomSource(seed, stream_id)
 
     def test_rejects_non_integer_keys(self):
-        with pytest.raises(InvalidParameterError):
-            RandomSource(1.5, 0)
+        for seed, stream_id in ((1.5, 0), (True, 0), (False, 0), (0, True)):
+            with pytest.raises(InvalidParameterError):
+                RandomSource(seed, stream_id)
 
     @settings(max_examples=60, deadline=None)
     @given(

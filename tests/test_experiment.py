@@ -163,7 +163,7 @@ class TestRunSweep:
         )
         expected = []
         for fi, f in enumerate(config.f_values):
-            k = k_from_f(f).k
+            k = k_from_f(f)
             qpd = nme_wire_cut(k)
             preps = [
                 haar_random_unitary(RandomSource(config.seed, _w_stream(config, fi, si)))

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from nmecut.errors import InvalidParameterError, OutOfRangeError
-from nmecut.channels import unitary_channel
+from nmecut.errors import DimensionMismatchError, InvalidParameterError, OutOfRangeError
+from nmecut.channels import QuantumChannel, unitary_channel
 from nmecut.linalg import I2
 from nmecut.qpd import (
     QpdTerm,
@@ -18,7 +18,7 @@ from nmecut.qpd import (
     reconstruct_channel,
     resource_consumption_rate,
 )
-from nmecut.states import NmeParameter, nme_state, overlap_f_pure
+from nmecut.states import nme_state, overlap_f_pure
 
 
 def identity_choi():
@@ -151,10 +151,18 @@ class TestLargeK:
         for k in np.geomspace(1.001, 1e150, 2001).tolist():
             a = (k * k + 1.0) / ((k + 1.0) * (k + 1.0))
             assert resource_consumption_rate(k) == pytest.approx(2.0 * a, rel=1e-15, abs=0)
-            assert NmeParameter(k).K == pytest.approx(1.0 / math.sqrt(1.0 + k * k), rel=1e-15, abs=0)
+            assert nme_state(k).amplitudes[0].real == pytest.approx(1.0 / math.sqrt(1.0 + k * k), rel=1e-15, abs=0)
             if k >= 2.0:  # nearer 1, k - 1 is exact but 1 - 1/k is not
                 b = (k - 1.0) * (k - 1.0) / ((k + 1.0) * (k + 1.0))
                 assert -nme_wire_cut(k).terms[2].coefficient == pytest.approx(b, rel=1e-15, abs=0)
+
+
+    @pytest.mark.parametrize(
+        "function", [nme_wire_cut, optimal_overhead_pure, resource_consumption_rate, optimal_overhead]
+    )
+    def test_integer_beyond_float_range_is_a_named_error(self, function):
+        with pytest.raises(InvalidParameterError):
+            function(10**400)
 
 
 class TestOverheadFormulas:
@@ -256,6 +264,15 @@ class TestDecompositionType:
                     QpdTerm(1.0, unitary_channel(I2)),
                 )
             )
+
+    @pytest.mark.parametrize(
+        "second",
+        [unitary_channel(np.eye(4)), QuantumChannel([np.eye(4)[:, :2]])],
+        ids=["four-dim", "two-to-four"],
+    )
+    def test_rejects_terms_on_other_dims(self, second):
+        with pytest.raises(DimensionMismatchError):
+            QuasiProbDecomposition((QpdTerm(0.5, unitary_channel(I2)), QpdTerm(0.5, second)))
 
     def test_rejects_zero_coefficient(self):
         with pytest.raises(InvalidParameterError):

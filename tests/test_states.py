@@ -1,18 +1,20 @@
 """Tests for the state families, the overlap monotone and its norm."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import hurwitz_unitary, random_pure_vector
 from nmecut.errors import InvalidParameterError, OutOfRangeError
 from nmecut.linalg import H, I2, PureState, kron
 from nmecut.states import (
-    NmeParameter,
     bell_state,
+    checked_k,
+    checked_overlap,
     k_from_f,
     m_distillation_norm,
     nme_state,
@@ -48,13 +50,8 @@ class TestNmeState:
             nme_state(bad)
 
     def test_normalizer(self):
-        assert NmeParameter(0.0).K == 1.0
-        assert NmeParameter(1.0).K == pytest.approx(1 / math.sqrt(2), abs=1e-15)
-
-    def test_accepts_parameter_object(self):
-        np.testing.assert_allclose(
-            nme_state(NmeParameter(0.5)).amplitudes, nme_state(0.5).amplitudes
-        )
+        assert nme_state(0.0).amplitudes[0].real == 1.0
+        assert nme_state(1.0).amplitudes[0].real == pytest.approx(1 / math.sqrt(2), abs=1e-15)
 
 
 class TestBellState:
@@ -231,24 +228,24 @@ def k_from_f_bisect(f: float) -> float:
 
 class TestKFromF:
     def test_maximal(self):
-        assert k_from_f(1.0).k == pytest.approx(1.0, abs=1e-12)
+        assert k_from_f(1.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_separable(self):
-        assert k_from_f(0.5).k == pytest.approx(0.0, abs=1e-15)
+        assert k_from_f(0.5) == pytest.approx(0.0, abs=1e-15)
 
     def test_interior_value(self):
         oracle = k_from_f_bisect(0.9)
         assert oracle == pytest.approx(0.5, abs=1e-10)
-        assert k_from_f(0.9).k == pytest.approx(0.5, abs=1e-10)
+        assert k_from_f(0.9) == pytest.approx(0.5, abs=1e-10)
 
     def test_round_trip_on_grid(self):
         for k in np.linspace(0.0, 1.0, 21):
-            assert k_from_f(f_closed_form(k)).k == pytest.approx(k, abs=1e-10)
+            assert k_from_f(f_closed_form(k)) == pytest.approx(k, abs=1e-10)
 
     @settings(max_examples=60, deadline=None)
     @given(f=st.floats(min_value=0.5, max_value=1.0, allow_nan=False))
     def test_forward_inverse(self, f):
-        k = k_from_f(f).k
+        k = k_from_f(f)
         assert 0.0 <= k <= 1.0
         assert f_closed_form(k) == pytest.approx(f, abs=1e-10)
 
@@ -256,3 +253,26 @@ class TestKFromF:
     def test_out_of_range(self, bad):
         with pytest.raises(OutOfRangeError):
             k_from_f(bad)
+
+
+class TestScalarChecks:
+    """checked_overlap and checked_k return a float in range or raise InvalidParameterError."""
+
+    def test_integer_beyond_float_range_is_a_named_error(self):
+        for function in (nme_state, k_from_f):
+            with pytest.raises(InvalidParameterError):
+                function(10**400)
+
+    @settings(max_examples=300, deadline=None)
+    @given(x=st.integers() | st.floats())
+    @example(x=10**400)
+    @example(x=-(10**400))
+    @example(x=int(sys.float_info.max))
+    @example(x=int(sys.float_info.max) + 1)
+    def test_in_range_or_named_error(self, x):
+        for check, lo, hi in ((checked_overlap, 0.5, 1.0), (checked_k, 0.0, sys.float_info.max)):
+            try:
+                value = check(x)
+            except InvalidParameterError:
+                continue
+            assert type(value) is float and lo <= value <= hi
