@@ -67,7 +67,7 @@ class QuantumChannel:
         self.name = name
 
     def act(self, rho: Matrix) -> Matrix:
-        """sum_i K_i rho K_i^dag on a raw in_dim x in_dim matrix, unchecked."""
+        """sum_i K_i rho K_i^dag on a raw (..., in_dim, in_dim) stack of matrices, unchecked."""
         return sum(k @ rho @ dagger(k) for k in self.kraus)
 
     def apply(self, rho: DensityOperator) -> DensityOperator:

@@ -4,6 +4,20 @@ Every validation error names the violated property and, where meaningful,
 carries the measured residual in its message.
 """
 
+import math
+from typing import Callable
+
+
+def _shown(value: object, form: Callable[[object], str] = str) -> str:
+    """form(value) for an error message; Python refuses str() of an integer over 4,300 digits."""
+    try:
+        return form(value)
+    except ValueError:
+        if isinstance(value, int):
+            digits = math.floor(math.log10(abs(value))) + 1
+            return f"{'a negative' if value < 0 else 'an'} integer of about {digits} digits"
+        return f"a {type(value).__name__} holding an integer too long to print"
+
 
 class NmecutError(Exception):
     """Base class for all package errors."""

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -24,6 +24,7 @@ from .errors import (
     NotUnitTraceError,
     OutOfRangeError,
     ZeroShotsError,
+    _shown,
 )
 from .linalg import TRACE_TOL, Matrix, as_matrix, as_unitary, check_hermitian
 from .qpd import QuasiProbDecomposition
@@ -59,9 +60,9 @@ class RandomSource:
                     raise TypeError
                 in_range = 0 <= operator.index(value) < _KEY_LIMIT
             except TypeError:
-                raise InvalidParameterError(f"{name} must be an integer, got {value!r}") from None
+                raise InvalidParameterError(f"{name} must be an integer, got {_shown(value, repr)}") from None
             if not in_range:
-                raise OutOfRangeError(f"{name} must lie in [0, 2**64), got {value}")
+                raise OutOfRangeError(f"{name} must lie in [0, 2**64), got {_shown(value)}")
 
     def _key(self) -> tuple[int, int]:
         return (operator.index(self.seed), operator.index(self.stream_id))
@@ -133,7 +134,7 @@ def allocate_shots(qpd: QuasiProbDecomposition, total: int) -> tuple[int, ...]:
     so that no signed term is silently dropped.
     """
     if not 0 <= total <= MAX_SHOTS:
-        raise OutOfRangeError(f"total must lie in [0, 2**48], got {total}")
+        raise OutOfRangeError(f"total must lie in [0, 2**48], got {_shown(total)}")
     probs = qpd.probabilities
     quotas = probs * total
     counts = np.floor(quotas).astype(int)
@@ -163,9 +164,9 @@ class _Budget:
 
 def _budget(qpd: QuasiProbDecomposition, total_shots: int, mode: str) -> _Budget:
     if total_shots < 1:
-        raise ZeroShotsError(f"total_shots must be >= 1, got {total_shots}")
+        raise ZeroShotsError(f"total_shots must be >= 1, got {_shown(total_shots)}")
     if total_shots > MAX_SHOTS:
-        raise OutOfRangeError(f"total_shots must be <= 2**48, got {total_shots}")
+        raise OutOfRangeError(f"total_shots must be <= 2**48, got {_shown(total_shots)}")
     if mode not in MODES:
         raise InvalidParameterError(f"mode must be one of {MODES}, got {mode!r}")
     if mode == "stratified":
@@ -175,24 +176,26 @@ def _budget(qpd: QuasiProbDecomposition, total_shots: int, mode: str) -> _Budget
     return _Budget(total_shots, None, qpd.probabilities, tuple((qpd.signs * qpd.kappa).tolist()))
 
 
-def _plus_probabilities(qpd: QuasiProbDecomposition, prep: np.ndarray, obs: Matrix) -> tuple[float, ...]:
-    """Checks one preparation against `qpd.dim`; returns each term's +1 probability in [0, 1] for a checked `obs`."""
-    column = as_matrix(prep)[:, 0]
-    if column.shape[0] != qpd.dim:
-        raise DimensionMismatchError(f"state dim {column.shape[0]} does not match the channels' dim {qpd.dim}")
-    rho = np.outer(column, column.conj())
-    norm_error = abs(rho.trace() - 1.0)
-    if norm_error > TRACE_TOL:
-        raise NotUnitTraceError(f"|<0|W^dag W|0> - 1| = {norm_error:.3e} > {TRACE_TOL}")
+def _plus_probabilities(qpd: QuasiProbDecomposition, columns: np.ndarray, obs: Matrix) -> np.ndarray:
+    """(n, terms) +1 probabilities in [0, 1] for an (n, dim) stack of rows W|0>, each checked for dim and norm."""
+    if columns.shape[1] != qpd.dim:
+        raise DimensionMismatchError(f"state dim {columns.shape[1]} does not match the channels' dim {qpd.dim}")
+    rho = columns[:, :, None] * columns.conj()[:, None, :]
+    norm_error = np.abs(np.trace(rho, axis1=1, axis2=2) - 1.0)
+    if np.any(norm_error > TRACE_TOL):
+        row = int(np.argmax(norm_error > TRACE_TOL))
+        raise NotUnitTraceError(f"row {row}: |<0|W^dag W|0> - 1| = {norm_error[row]:.3e} > {TRACE_TOL}")
 
-    values = np.array([np.real(np.trace(obs @ t.channel.act(rho))) for t in qpd.terms])
-    p_plus = 0.5 * (1.0 + values)
-    if np.any((p_plus < -PROBABILITY_TOL) | (p_plus > 1.0 + PROBABILITY_TOL)):
-        raise InvalidProbabilityError(f"outcome probabilities {p_plus} outside [0, 1]")
-    return tuple(np.clip(p_plus, 0.0, 1.0).tolist())
+    traces = [np.trace(obs @ t.channel.act(rho), axis1=1, axis2=2) for t in qpd.terms]
+    p_plus = 0.5 * (1.0 + np.real(np.stack(traces, axis=1)))
+    bad = ((p_plus < -PROBABILITY_TOL) | (p_plus > 1.0 + PROBABILITY_TOL)).any(axis=1)
+    if bad.any():
+        row = int(np.argmax(bad))
+        raise InvalidProbabilityError(f"row {row}: outcome probabilities {p_plus[row]} outside [0, 1]")
+    return np.clip(p_plus, 0.0, 1.0)
 
 
-def _draw_estimate(budget: _Budget, p_plus: tuple[float, ...], gen: np.random.Generator) -> float:
+def _draw_estimate(budget: _Budget, p_plus: Sequence[float], gen: np.random.Generator) -> float:
     """One signed recombination of binomial branch counts for checked inputs."""
     stratified = budget.allocation is not None
     shots = budget.allocation if stratified else gen.multinomial(budget.total, budget.probabilities).tolist()
@@ -227,5 +230,5 @@ def estimate_cut_expectation(
     whenever the decomposition reconstructs the identity.
     """
     budget = _budget(qpd, total_shots, mode)
-    p_plus = _plus_probabilities(qpd, prep, _pm_one_observable(observable, qpd.dim))
-    return _draw_estimate(budget, p_plus, as_generator(rng))
+    p_plus = _plus_probabilities(qpd, as_matrix(prep)[None, :, 0], _pm_one_observable(observable, qpd.dim))
+    return _draw_estimate(budget, p_plus[0].tolist(), as_generator(rng))

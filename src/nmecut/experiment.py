@@ -26,7 +26,7 @@ from typing import Sequence, TextIO
 
 import numpy as np
 
-from .errors import InvalidParameterError, NmecutError
+from .errors import InvalidParameterError, NmecutError, _shown
 from .estimator import MODES, RandomSource, RngLike, as_generator, estimate_cut_expectation, exact_expectation
 from .estimator import _budget, _draw_estimate, _expectation, _plus_probabilities, _pm_one_observable
 from .linalg import Z
@@ -85,24 +85,24 @@ class ExperimentConfig:
         ):
             values = getattr(self, name)
             if not isinstance(values, (list, tuple)):
-                raise InvalidParameterError(f"{name} must be a list, got {values!r}")
+                raise InvalidParameterError(f"{name} must be a list, got {_shown(values, repr)}")
             if not 1 <= len(values) <= 1 << bits:
                 raise InvalidParameterError(f"{name} must hold 1 to 2**{bits} entries, got {len(values)}")
             for value in values:
                 if not _is_a(value, kind):
-                    raise InvalidParameterError(f"{name} must hold {noun}, got {value!r}")
+                    raise InvalidParameterError(f"{name} must hold {noun}, got {_shown(value, repr)}")
             object.__setattr__(self, name, tuple(cast(value) for value in values))
         for name in ("n_states", "seed"):
             value = getattr(self, name)
             if not _is_a(value, numbers.Integral):
-                raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
+                raise InvalidParameterError(f"{name} must be an integer, got {_shown(value, repr)}")
             object.__setattr__(self, name, int(value))
         if not isinstance(self.paired, bool):
             raise InvalidParameterError(f"paired must be true or false, got {self.paired!r}")
         if any(b <= a for a, b in zip((0,) + self.shot_grid, self.shot_grid)):
             raise InvalidParameterError("shot_grid must be positive and strictly increasing")
         if not 1 <= self.n_states <= 1 << _STATE_BITS:
-            raise InvalidParameterError(f"n_states must lie in [1, 2**{_STATE_BITS}], got {self.n_states}")
+            raise InvalidParameterError(f"n_states must lie in [1, 2**{_STATE_BITS}], got {_shown(self.n_states)}")
         if self.mode not in MODES:
             raise InvalidParameterError(f"unknown mode {self.mode!r}")
         RandomSource(self.seed)  # rejects seeds outside [0, 2**64)
@@ -134,16 +134,23 @@ class ExperimentRecord:
 
 
 def haar_random_unitary(rng: RngLike) -> np.ndarray:
-    """Haar-distributed 2x2 unitary via QR of a complex Gaussian matrix.
+    """Haar-distributed 2x2 unitary via QR of a complex Gaussian matrix."""
+    return _haar_unitaries(_ginibre(as_generator(rng))[None])[0]
 
-    The R diagonal is rephased to unit modulus, which removes the bias of the
-    bare QR decomposition.
+
+def _ginibre(gen: np.random.Generator) -> np.ndarray:
+    """One 2x2 complex Gaussian matrix with unit-variance entries."""
+    return (gen.standard_normal((2, 2)) + 1j * gen.standard_normal((2, 2))) / math.sqrt(2.0)
+
+
+def _haar_unitaries(ginibre: np.ndarray) -> np.ndarray:
+    """Haar unitaries from an (n, 2, 2) Ginibre stack by one stacked QR.
+
+    Rephasing each R diagonal to unit modulus removes the bare QR's bias.
     """
-    gen = as_generator(rng)
-    ginibre = (gen.standard_normal((2, 2)) + 1j * gen.standard_normal((2, 2))) / math.sqrt(2.0)
     q, r = np.linalg.qr(ginibre)
-    phases = np.diag(r) / np.abs(np.diag(r))
-    return q * phases
+    diagonal = np.diagonal(r, axis1=1, axis2=2)
+    return q * (diagonal / np.abs(diagonal))[:, None, :]
 
 
 def run_trial(
@@ -178,20 +185,21 @@ def _sample_stream(f_index: int, shot_index: int, state_index: int) -> int:
 def run_sweep(config: ExperimentConfig) -> list[ExperimentRecord]:
     """One record per (f, shots) pair, averaged over `n_states` random states.
 
-    Each trial equals `run_trial` on its own (seed, stream) keys; everything
-    that does not depend on the budget is computed once per state, and one
-    generator is re-keyed for every stream.
+    Each trial equals `run_trial` on its own (seed, stream) keys.  The states
+    of an f share one Haar QR and one probability table, and one generator is
+    re-keyed for every stream.
     """
     gen = RandomSource(config.seed).generator()
     obs = _pm_one_observable(Z)
 
-    def preparations(fi: int) -> list[tuple[np.ndarray, float]]:
-        """(W, <0|W^dag Z W|0>) for every state of the f-index `fi`."""
-        preps = [
-            haar_random_unitary(RandomSource(config.seed, _w_stream(config, fi, si))._rekey(gen))
+    def preparations(fi: int) -> tuple[np.ndarray, list[float]]:
+        """W|0> rows as an (n, 2) stack, and <0|W^dag Z W|0> for every state of the f-index `fi`."""
+        ginibres = [
+            _ginibre(RandomSource(config.seed, _w_stream(config, fi, si))._rekey(gen))
             for si in range(config.n_states)
         ]
-        return [(w, _expectation(w[:, 0], obs)) for w in preps]
+        columns = _haar_unitaries(np.stack(ginibres))[:, :, 0]
+        return columns, [_expectation(column, obs) for column in columns]
 
     # Paired preparations use the same streams for every f.
     shared = preparations(0) if config.paired else None
@@ -199,14 +207,14 @@ def run_sweep(config: ExperimentConfig) -> list[ExperimentRecord]:
     for fi, f in enumerate(config.f_values):
         k = k_from_f(f)
         decomposition = nme_wire_cut(k)
-        states = shared if shared is not None else preparations(fi)
-        p_plus = [_plus_probabilities(decomposition, w, obs) for w, _ in states]
+        columns, exact = shared if shared is not None else preparations(fi)
+        p_plus = _plus_probabilities(decomposition, columns, obs).tolist()
         for ji, shots in enumerate(config.shot_grid):
             budget = _budget(decomposition, shots, config.mode)
             errors = np.empty(config.n_states)
-            for si, ((_, exact), probs) in enumerate(zip(states, p_plus)):
+            for si, (value, probs) in enumerate(zip(exact, p_plus)):
                 RandomSource(config.seed, _sample_stream(fi, ji, si))._rekey(gen)
-                errors[si] = abs(_draw_estimate(budget, probs, gen) - exact)
+                errors[si] = abs(_draw_estimate(budget, probs, gen) - value)
             std_error = (
                 float(errors.std(ddof=1) / math.sqrt(config.n_states))
                 if config.n_states > 1

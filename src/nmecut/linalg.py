@@ -52,7 +52,7 @@ def as_matrix(a: npt.ArrayLike) -> Matrix:
     m = np.array(a, dtype=complex)
     if m.ndim != 2:
         raise InvalidParameterError(f"expected a 2-d matrix, got ndim={m.ndim}")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+    if not np.isfinite(m).all():  # a complex entry is finite only if both parts are
         raise InvalidParameterError("matrix contains non-finite entries")
     return m
 

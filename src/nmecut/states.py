@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidParameterError, OutOfRangeError
+from .errors import InvalidParameterError, OutOfRangeError, _shown
 from .linalg import PAULIS, TRACE_TOL, I2, PureState, kron
 
 RANGE_TOL = 1e-12
@@ -142,14 +142,14 @@ def overlap_f_pure(psi: PureState) -> float:
 def checked_overlap(f: float) -> float:
     """Overlap f clamped to [0.5, 1]; OutOfRangeError beyond RANGE_TOL outside."""
     if not 0.5 - RANGE_TOL <= f <= 1.0 + RANGE_TOL:
-        raise OutOfRangeError(f"f must lie in [0.5, 1], got {f}")
+        raise OutOfRangeError(f"f must lie in [0.5, 1], got {_shown(f)}")
     return min(max(float(f), 0.5), 1.0)
 
 
 def checked_k(k: float) -> float:
     """Entanglement parameter k as a float; InvalidParameterError unless finite and >= 0."""
     if not 0.0 <= k <= sys.float_info.max:
-        raise InvalidParameterError(f"k must be finite and >= 0, got {k}")
+        raise InvalidParameterError(f"k must be finite and >= 0, got {_shown(k)}")
     return float(k)
 
 

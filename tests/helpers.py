@@ -60,3 +60,9 @@ def rank_sum_z(a: np.ndarray, b: np.ndarray) -> float:
     mean = n1 * (n1 + n2 + 1) / 2.0
     std = math.sqrt(n1 * n2 * (n1 + n2 + 1) / 12.0)
     return (rank_sum - mean) / std
+
+
+def same_bits(a, b) -> bool:
+    """Equal shape, dtype and bytes: stricter than ==, which equates -0.0 with 0.0."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()

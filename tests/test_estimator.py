@@ -7,10 +7,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from helpers import same_bits
 from nmecut.errors import (
     DimensionMismatchError,
     InvalidObservableError,
     InvalidParameterError,
+    InvalidProbabilityError,
     NotHermitianError,
     NotUnitaryError,
     NotUnitTraceError,
@@ -21,11 +23,12 @@ from nmecut.channels import conjugate_channel, measure_prepare_flip_channel, tel
 from nmecut.estimator import (
     MAX_SHOTS,
     RandomSource,
+    _plus_probabilities,
     allocate_shots,
     estimate_cut_expectation,
     exact_expectation,
 )
-from nmecut.experiment import haar_random_unitary
+from nmecut.experiment import _ginibre, _haar_unitaries, haar_random_unitary
 from nmecut.linalg import H, I2, X, Z, validate_density
 from nmecut.qpd import QpdTerm, QuasiProbDecomposition, harada_wire_cut, nme_wire_cut
 from nmecut.states import nme_state
@@ -47,13 +50,25 @@ class TestRandomSource:
 
     @pytest.mark.parametrize(
         "seed, stream_id",
-        [(-5, 0), (2**64, 0), (2**70 + 5, 2**65), (0, -1), (0, 2**64)],
-        ids=["negative-seed", "seed-2**64", "both-above", "negative-stream", "stream-2**64"],
+        [(-5, 0), (2**64, 0), (2**70 + 5, 2**65), (0, -1), (0, 2**64), (10**5000, 0), (0, -(10**5000))],
+        ids=[
+            "negative-seed", "seed-2**64", "both-above", "negative-stream", "stream-2**64",
+            "seed-10**5000", "stream--10**5000",
+        ],
     )
     def test_rejects_keys_outside_uint64(self, seed, stream_id):
         # Masking to 64 bits used to alias e.g. seed -5 with seed 2**64 - 5.
         with pytest.raises(OutOfRangeError):
             RandomSource(seed, stream_id)
+
+    def test_message_names_a_huge_integer_by_its_digit_count(self):
+        # str() of an integer over 4,300 digits raises ValueError; the message must not.
+        with pytest.raises(OutOfRangeError, match="seed must lie in .*, got an integer of about 5001 digits"):
+            RandomSource(10**5000, 0)
+        with pytest.raises(OutOfRangeError, match="got a negative integer of about 5001 digits"):
+            RandomSource(0, -(10**5000))
+        with pytest.raises(InvalidParameterError, match="got a list holding an integer too long to print"):
+            RandomSource([10**5000], 0)
 
     def test_rejects_non_integer_keys(self):
         for seed, stream_id in ((1.5, 0), (True, 0), (False, 0), (0, True)):
@@ -309,3 +324,45 @@ class TestEstimateCutExpectation:
             estimate_cut_expectation(
                 nme_wire_cut(0.5), prep, observable, 10, RandomSource(0, 0), mode=mode
             )
+
+
+def sweep_rows(seed, n):
+    """(n, 2) W|0> rows built as the sweep builds them: one Ginibre draw per stream, one stacked QR."""
+    gen = RandomSource(seed).generator()
+    ginibres = [_ginibre(RandomSource(seed, si)._rekey(gen)) for si in range(n)]
+    return _haar_unitaries(np.stack(ginibres))[:, :, 0]
+
+
+class TestPlusProbabilities:
+    """The stacked probability table: each row gets the bits it would get alone."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1), n=st.integers(1, 50), k=st.none() | st.floats(0.0, 1.0))
+    @example(seed=0, n=1, k=None)
+    @example(seed=2**64 - 1, n=50, k=0.0)
+    @example(seed=1, n=7, k=1.0)
+    def test_rows_match_one_row_calls_and_the_kraus_oracle(self, seed, n, k):
+        qpd = harada_wire_cut() if k is None else nme_wire_cut(k)
+        columns = sweep_rows(seed, n)
+        table = _plus_probabilities(qpd, columns, Z)
+        assert table.shape == (n, len(qpd.terms))
+        for i, c in enumerate(columns):
+            assert same_bits(table[i], _plus_probabilities(qpd, columns[i : i + 1], Z)[0])
+            # Kraus oracle: the per-state expression the stacked kernel replaced.
+            values = np.array([np.real(np.trace(Z @ t.channel.act(np.outer(c, c.conj())))) for t in qpd.terms])
+            assert same_bits(table[i], np.clip(0.5 * (1.0 + values), 0.0, 1.0))
+
+    def test_unnormalized_row_is_named(self):
+        rows = np.full((5, 2), 1.0 / math.sqrt(2.0), dtype=complex)
+        rows[3] = [2.0, 0.0]
+        with pytest.raises(NotUnitTraceError, match=r"^row 3: \|<0\|W\^dag W\|0> - 1\| = 3\.000e\+00 > "):
+            _plus_probabilities(nme_wire_cut(0.5), rows, Z)
+
+    def test_out_of_range_probability_row_is_named(self):
+        # The kernel trusts its caller's observable.  With 3Z the |+> rows stay at
+        # probability 1/2 on every term, while the |0> row leaves [0, 1].
+        rows = np.full((5, 2), 1.0 / math.sqrt(2.0), dtype=complex)
+        rows[2] = [1.0, 0.0]
+        pattern = r"^row 2: outcome probabilities \[ *1\.7 +1\.7 +-1\. *\] outside \[0, 1\]$"
+        with pytest.raises(InvalidProbabilityError, match=pattern):
+            _plus_probabilities(nme_wire_cut(0.5), rows, 3.0 * Z)

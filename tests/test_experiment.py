@@ -8,13 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import hurwitz_unitary, rank_sum_z
+from helpers import hurwitz_unitary, rank_sum_z, same_bits
 from nmecut.errors import InvalidParameterError
-from nmecut.estimator import RandomSource
+from nmecut.estimator import RandomSource, RngLike, as_generator
 from nmecut.experiment import (
     CsvFormatError,
     ExperimentConfig,
     ExperimentRecord,
+    _ginibre,
+    _haar_unitaries,
     _sample_stream,
     _w_stream,
     check_records,
@@ -54,6 +56,38 @@ class TestHaarRandomUnitary:
         oracle = np.mean([abs(hurwitz_unitary(oracle_gen)[0, 0]) ** 2 for _ in range(20_000)])
         assert oracle == pytest.approx(0.5, abs=0.02)
         assert mean == pytest.approx(oracle, abs=0.02)
+
+
+def haar_reference(rng: RngLike) -> np.ndarray:
+    """haar_random_unitary as it was before the stacked QR: one draw, one QR, np.diag rephasing."""
+    gen = as_generator(rng)
+    ginibre = (gen.standard_normal((2, 2)) + 1j * gen.standard_normal((2, 2))) / math.sqrt(2.0)
+    q, r = np.linalg.qr(ginibre)
+    phases = np.diag(r) / np.abs(np.diag(r))
+    return q * phases
+
+
+class TestStackedHaar:
+    """One QR over a stack gives every state the bits its own QR gives."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1), n=st.integers(1, 50))
+    def test_stacked_qr_matches_per_matrix_qr(self, seed, n):
+        gen = RandomSource(seed).generator()
+        ginibres = np.stack([_ginibre(gen) for _ in range(n)])
+        stacked = _haar_unitaries(ginibres)
+        for g, w in zip(ginibres, stacked):
+            q, r = np.linalg.qr(g)
+            assert same_bits(w, q * (np.diag(r) / np.abs(np.diag(r))))
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1), stream_id=st.integers(0, 2**64 - 1))
+    def test_matches_the_per_state_function(self, seed, stream_id):
+        source = RandomSource(seed, stream_id)
+        assert same_bits(haar_random_unitary(source), haar_reference(source))
+        gen, reference_gen = source.generator(), source.generator()
+        for _ in range(3):  # a plain generator advances exactly as before
+            assert same_bits(haar_random_unitary(gen), haar_reference(reference_gen))
 
 
 class TestRunTrial:

@@ -19,6 +19,7 @@ from nmecut.linalg import (
     Z,
     DensityOperator,
     PureState,
+    as_matrix,
     kron,
     validate_density,
 )
@@ -62,6 +63,17 @@ class TestKron:
     def test_rejects_non_finite(self):
         with pytest.raises(InvalidParameterError):
             kron(np.array([[np.nan, 0], [0, 1]]), I2)
+
+
+class TestAsMatrix:
+    @pytest.mark.parametrize(
+        "entry",
+        [complex(np.inf, 0.0), complex(0.0, np.nan), complex(np.nan, np.inf), complex(0.0, -np.inf)],
+        ids=["inf+0j", "0+nanj", "nan+infj", "0-infj"],
+    )
+    def test_rejects_a_non_finite_part(self, entry):
+        with pytest.raises(InvalidParameterError, match="non-finite"):
+            as_matrix(np.array([[1.0, entry], [0.0, 1.0]]))
 
 
 class TestValidateDensity:

@@ -269,6 +269,8 @@ class TestScalarChecks:
     @example(x=-(10**400))
     @example(x=int(sys.float_info.max))
     @example(x=int(sys.float_info.max) + 1)
+    @example(x=10**5000)  # too long for str(): the message must not raise
+    @example(x=-(10**5000))
     def test_in_range_or_named_error(self, x):
         for check, lo, hi in ((checked_overlap, 0.5, 1.0), (checked_k, 0.0, sys.float_info.max)):
             try:
