@@ -41,6 +41,33 @@ _KEY_LIMIT = 1 << 64
 _ZERO_WORDS = (0, 0, 0, 0)
 
 
+def _integer(name: str, value: object) -> int:
+    """`value` as a plain int; InvalidParameterError unless it is an integer other than a bool."""
+    try:
+        if isinstance(value, bool):  # operator.index(True) is 1
+            raise TypeError
+        return operator.index(value)
+    except TypeError:
+        raise InvalidParameterError(f"{name} must be an integer, got {_shown(value, repr)}") from None
+
+
+def _rekey(gen: np.random.Generator, seed: int, stream_id: int) -> np.random.Generator:
+    """Rewind a Philox-backed `gen` in place to the start of stream (seed, stream_id).
+
+    The one definition of a stream start, for ints in [0, 2**64) the caller
+    has checked; setting the state is cheaper than building a bit generator.
+    """
+    gen.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": _ZERO_WORDS, "key": (seed, stream_id)},
+        "buffer": _ZERO_WORDS,
+        "buffer_pos": len(_ZERO_WORDS),
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return gen
+
+
 @dataclass(frozen=True)
 class RandomSource:
     """Reproducible stream key: (seed, stream_id) -> Philox generator.
@@ -55,36 +82,13 @@ class RandomSource:
     def __post_init__(self) -> None:
         for name in ("seed", "stream_id"):
             value = getattr(self, name)
-            try:
-                if isinstance(value, bool):  # operator.index(True) is 1
-                    raise TypeError
-                in_range = 0 <= operator.index(value) < _KEY_LIMIT
-            except TypeError:
-                raise InvalidParameterError(f"{name} must be an integer, got {_shown(value, repr)}") from None
-            if not in_range:
+            key = _integer(name, value)
+            if not 0 <= key < _KEY_LIMIT:
                 raise OutOfRangeError(f"{name} must lie in [0, 2**64), got {_shown(value)}")
-
-    def _key(self) -> tuple[int, int]:
-        return (operator.index(self.seed), operator.index(self.stream_id))
+            object.__setattr__(self, name, key)
 
     def generator(self) -> np.random.Generator:
-        return np.random.Generator(np.random.Philox(key=np.array(self._key(), dtype=np.uint64)))
-
-    def _rekey(self, gen: np.random.Generator) -> np.random.Generator:
-        """Rewind a Philox-backed `gen` in place to the start of this stream.
-
-        Later draws equal those of `self.generator()`; setting the state is
-        several times cheaper than building a new bit generator.
-        """
-        gen.bit_generator.state = {
-            "bit_generator": "Philox",
-            "state": {"counter": _ZERO_WORDS, "key": self._key()},
-            "buffer": _ZERO_WORDS,
-            "buffer_pos": len(_ZERO_WORDS),
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        return gen
+        return _rekey(np.random.Generator(np.random.Philox(key=0)), self.seed, self.stream_id)
 
 
 RngLike = Union[RandomSource, np.random.Generator]
@@ -133,6 +137,7 @@ def allocate_shots(qpd: QuasiProbDecomposition, total: int) -> tuple[int, ...]:
     nonzero-probability term, each such term is guaranteed at least one shot
     so that no signed term is silently dropped.
     """
+    total = _integer("total", total)
     if not 0 <= total <= MAX_SHOTS:
         raise OutOfRangeError(f"total must lie in [0, 2**48], got {_shown(total)}")
     probs = qpd.probabilities
@@ -163,6 +168,7 @@ class _Budget:
 
 
 def _budget(qpd: QuasiProbDecomposition, total_shots: int, mode: str) -> _Budget:
+    total_shots = _integer("total_shots", total_shots)
     if total_shots < 1:
         raise ZeroShotsError(f"total_shots must be >= 1, got {_shown(total_shots)}")
     if total_shots > MAX_SHOTS:

@@ -28,7 +28,8 @@ import numpy as np
 
 from .errors import InvalidParameterError, NmecutError, _shown
 from .estimator import MODES, RandomSource, RngLike, as_generator, estimate_cut_expectation, exact_expectation
-from .estimator import _budget, _draw_estimate, _expectation, _plus_probabilities, _pm_one_observable
+from .estimator import _budget, _draw_estimate, _expectation, _integer
+from .estimator import _plus_probabilities, _pm_one_observable, _rekey
 from .linalg import Z
 from .qpd import QuasiProbDecomposition, nme_wire_cut
 from .states import checked_overlap, k_from_f
@@ -61,11 +62,6 @@ class CsvFormatError(NmecutError):
     """CSV file does not match the sweep schema."""
 
 
-def _is_a(value: object, kind: type) -> bool:
-    """isinstance that does not count a bool as a number."""
-    return isinstance(value, kind) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Sweep parameters, checked on construction; defaults mirror the desk-scale study."""
@@ -89,14 +85,11 @@ class ExperimentConfig:
             if not 1 <= len(values) <= 1 << bits:
                 raise InvalidParameterError(f"{name} must hold 1 to 2**{bits} entries, got {len(values)}")
             for value in values:
-                if not _is_a(value, kind):
+                if isinstance(value, bool) or not isinstance(value, kind):  # a bool is not a number here
                     raise InvalidParameterError(f"{name} must hold {noun}, got {_shown(value, repr)}")
             object.__setattr__(self, name, tuple(cast(value) for value in values))
         for name in ("n_states", "seed"):
-            value = getattr(self, name)
-            if not _is_a(value, numbers.Integral):
-                raise InvalidParameterError(f"{name} must be an integer, got {_shown(value, repr)}")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if not isinstance(self.paired, bool):
             raise InvalidParameterError(f"paired must be true or false, got {self.paired!r}")
         if any(b <= a for a, b in zip((0,) + self.shot_grid, self.shot_grid)):
@@ -135,20 +128,17 @@ class ExperimentRecord:
 
 def haar_random_unitary(rng: RngLike) -> np.ndarray:
     """Haar-distributed 2x2 unitary via QR of a complex Gaussian matrix."""
-    return _haar_unitaries(_ginibre(as_generator(rng))[None])[0]
+    return _haar_unitaries(as_generator(rng).standard_normal((1, 2, 2, 2)))[0]
 
 
-def _ginibre(gen: np.random.Generator) -> np.ndarray:
-    """One 2x2 complex Gaussian matrix with unit-variance entries."""
-    return (gen.standard_normal((2, 2)) + 1j * gen.standard_normal((2, 2))) / math.sqrt(2.0)
+def _haar_unitaries(normals: np.ndarray) -> np.ndarray:
+    """Haar unitaries from (n, 2, 2, 2) standard normals by one stacked QR.
 
-
-def _haar_unitaries(ginibre: np.ndarray) -> np.ndarray:
-    """Haar unitaries from an (n, 2, 2) Ginibre stack by one stacked QR.
-
-    Rephasing each R diagonal to unit modulus removes the bare QR's bias.
+    normals[i, 0] and normals[i, 1] are the real and imaginary parts of the
+    i-th unit-variance complex Gaussian matrix.  Rephasing each R diagonal to
+    unit modulus removes the bare QR's bias.
     """
-    q, r = np.linalg.qr(ginibre)
+    q, r = np.linalg.qr((normals[:, 0] + 1j * normals[:, 1]) / math.sqrt(2.0))
     diagonal = np.diagonal(r, axis1=1, axis2=2)
     return q * (diagonal / np.abs(diagonal))[:, None, :]
 
@@ -185,20 +175,20 @@ def _sample_stream(f_index: int, shot_index: int, state_index: int) -> int:
 def run_sweep(config: ExperimentConfig) -> list[ExperimentRecord]:
     """One record per (f, shots) pair, averaged over `n_states` random states.
 
-    Each trial equals `run_trial` on its own (seed, stream) keys.  The states
-    of an f share one Haar QR and one probability table, and one generator is
-    re-keyed for every stream.
+    Each trial equals `run_trial` on its own (seed, stream) keys.  One
+    generator is re-keyed for every stream; each state stream makes one
+    standard-normal draw into an (n, 2, 2, 2) array, and the states of an f
+    share one Haar QR and one probability table.
     """
     gen = RandomSource(config.seed).generator()
     obs = _pm_one_observable(Z)
 
     def preparations(fi: int) -> tuple[np.ndarray, list[float]]:
         """W|0> rows as an (n, 2) stack, and <0|W^dag Z W|0> for every state of the f-index `fi`."""
-        ginibres = [
-            _ginibre(RandomSource(config.seed, _w_stream(config, fi, si))._rekey(gen))
-            for si in range(config.n_states)
-        ]
-        columns = _haar_unitaries(np.stack(ginibres))[:, :, 0]
+        normals = np.empty((config.n_states, 2, 2, 2))
+        for si in range(config.n_states):
+            _rekey(gen, config.seed, _w_stream(config, fi, si)).standard_normal(out=normals[si])
+        columns = _haar_unitaries(normals)[:, :, 0]
         return columns, [_expectation(column, obs) for column in columns]
 
     # Paired preparations use the same streams for every f.
@@ -213,7 +203,7 @@ def run_sweep(config: ExperimentConfig) -> list[ExperimentRecord]:
             budget = _budget(decomposition, shots, config.mode)
             errors = np.empty(config.n_states)
             for si, (value, probs) in enumerate(zip(exact, p_plus)):
-                RandomSource(config.seed, _sample_stream(fi, ji, si))._rekey(gen)
+                _rekey(gen, config.seed, _sample_stream(fi, ji, si))
                 errors[si] = abs(_draw_estimate(budget, probs, gen) - value)
             std_error = (
                 float(errors.std(ddof=1) / math.sqrt(config.n_states))

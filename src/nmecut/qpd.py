@@ -13,7 +13,7 @@ Reconstruction of the identity is checked through Choi matrices.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import isfinite
+from math import inf, isfinite
 
 import numpy as np
 
@@ -24,9 +24,9 @@ from .channels import (
     measure_prepare_flip_channel,
     teleportation_channel,
 )
-from .errors import DimensionMismatchError, InvalidParameterError
+from .errors import DimensionMismatchError, InvalidParameterError, _shown
 from .linalg import H, S, Matrix
-from .states import checked_k, checked_overlap, nme_state
+from .states import _require_real, checked_k, checked_overlap, nme_state
 
 COEFFICIENT_SUM_TOL = 1e-12
 
@@ -47,9 +47,13 @@ class QpdTerm:
     consumes_resource: bool = False
 
     def __post_init__(self) -> None:
-        c = float(self.coefficient)
+        _require_real("coefficient", self.coefficient)
+        try:
+            c = float(self.coefficient)
+        except OverflowError:  # an integer beyond the float range
+            c = inf
         if not isfinite(c) or c == 0.0:
-            raise InvalidParameterError(f"coefficient must be finite and nonzero, got {c}")
+            raise InvalidParameterError(f"coefficient must be finite and nonzero, got {_shown(self.coefficient)}")
         object.__setattr__(self, "coefficient", c)
 
 

@@ -24,11 +24,12 @@ from nmecut.estimator import (
     MAX_SHOTS,
     RandomSource,
     _plus_probabilities,
+    _rekey,
     allocate_shots,
     estimate_cut_expectation,
     exact_expectation,
 )
-from nmecut.experiment import _ginibre, _haar_unitaries, haar_random_unitary
+from nmecut.experiment import _haar_unitaries, haar_random_unitary
 from nmecut.linalg import H, I2, X, Z, validate_density
 from nmecut.qpd import QpdTerm, QuasiProbDecomposition, harada_wire_cut, nme_wire_cut
 from nmecut.states import nme_state
@@ -70,6 +71,11 @@ class TestRandomSource:
         with pytest.raises(InvalidParameterError, match="got a list holding an integer too long to print"):
             RandomSource([10**5000], 0)
 
+    def test_stores_checked_keys_as_plain_ints(self):
+        source = RandomSource(np.uint64(2**64 - 1), np.int64(3))
+        assert (type(source.seed), type(source.stream_id)) == (int, int)
+        assert (source.seed, source.stream_id) == (2**64 - 1, 3)
+
     def test_rejects_non_integer_keys(self):
         for seed, stream_id in ((1.5, 0), (True, 0), (False, 0), (0, True)):
             with pytest.raises(InvalidParameterError):
@@ -87,18 +93,22 @@ class TestRandomSource:
     @example(seed=0, stream_id=2**64 - 1, n=0, p=0.3)
     @example(seed=2**64 - 1, stream_id=0, n=1, p=1.0)
     def test_rekeyed_generator_matches_fresh_stream(self, seed, stream_id, n, p):
-        source = RandomSource(seed, stream_id)
-        fresh = source.generator()
-        expected = (fresh.binomial(n, p), fresh.multinomial(n, [0.25, 0.5, 0.25]), fresh.random())
+        def draws(gen):
+            return (
+                gen.binomial(n, p), gen.multinomial(n, [0.25, 0.5, 0.25]), gen.standard_normal(3), gen.random()
+            )
+
+        # Oracle: a Philox generator built fresh from the key (seed, stream_id).
+        expected = draws(np.random.Generator(np.random.Philox(key=np.array([seed, stream_id], dtype=np.uint64))))
         # Leave buffered bits and a cached binomial set-up behind first.
         gen = RandomSource(7, 7).generator()
         gen.integers(0, 2**32, dtype=np.uint32)
         gen.binomial(77, 0.3)
-        source._rekey(gen)
-        got = (gen.binomial(n, p), gen.multinomial(n, [0.25, 0.5, 0.25]), gen.random())
-        assert got[0] == expected[0]
-        np.testing.assert_array_equal(got[1], expected[1])
-        assert got[2] == expected[2]
+        for got in (draws(_rekey(gen, seed, stream_id)), draws(RandomSource(seed, stream_id).generator())):
+            assert got[0] == expected[0]
+            np.testing.assert_array_equal(got[1], expected[1])
+            assert same_bits(got[2], expected[2])
+            assert got[3] == expected[3]
 
 
 class TestExactExpectation:
@@ -161,6 +171,21 @@ class TestAllocateShots:
         for mode in ("stratified", "multinomial"):
             with pytest.raises(OutOfRangeError):
                 estimate_cut_expectation(harada_wire_cut(), I2, Z, 10**20, RandomSource(0), mode=mode)
+
+    @pytest.mark.parametrize("total", [2.5, 10.0, "10", True, False, None], ids=repr)
+    def test_budget_must_be_an_integer(self, total):
+        with pytest.raises(InvalidParameterError, match="must be an integer"):
+            allocate_shots(nme_wire_cut(0.5), total)
+        for mode in ("stratified", "multinomial"):
+            with pytest.raises(InvalidParameterError, match="total_shots must be an integer"):
+                estimate_cut_expectation(nme_wire_cut(0.5), I2, Z, total, RandomSource(0), mode=mode)
+
+    def test_numpy_integer_budget_is_accepted(self):
+        qpd = nme_wire_cut(0.5)
+        assert allocate_shots(qpd, np.int64(11)) == allocate_shots(qpd, 11)
+        for mode in ("stratified", "multinomial"):
+            plain = estimate_cut_expectation(qpd, H, Z, 999, RandomSource(8, 4), mode=mode)
+            assert estimate_cut_expectation(qpd, H, Z, np.uint16(999), RandomSource(8, 4), mode=mode) == plain
 
     @settings(max_examples=100, deadline=None)
     @given(k=st.floats(0.0, 1.0), total=st.integers(0, 10_000))
@@ -327,10 +352,12 @@ class TestEstimateCutExpectation:
 
 
 def sweep_rows(seed, n):
-    """(n, 2) W|0> rows built as the sweep builds them: one Ginibre draw per stream, one stacked QR."""
+    """(n, 2) W|0> rows built as the sweep builds them: one normal draw per stream, one stacked QR."""
     gen = RandomSource(seed).generator()
-    ginibres = [_ginibre(RandomSource(seed, si)._rekey(gen)) for si in range(n)]
-    return _haar_unitaries(np.stack(ginibres))[:, :, 0]
+    normals = np.empty((n, 2, 2, 2))
+    for si in range(n):
+        _rekey(gen, seed, si).standard_normal(out=normals[si])
+    return _haar_unitaries(normals)[:, :, 0]
 
 
 class TestPlusProbabilities:

@@ -15,7 +15,6 @@ from nmecut.experiment import (
     CsvFormatError,
     ExperimentConfig,
     ExperimentRecord,
-    _ginibre,
     _haar_unitaries,
     _sample_stream,
     _w_stream,
@@ -73,11 +72,10 @@ class TestStackedHaar:
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**64 - 1), n=st.integers(1, 50))
     def test_stacked_qr_matches_per_matrix_qr(self, seed, n):
-        gen = RandomSource(seed).generator()
-        ginibres = np.stack([_ginibre(gen) for _ in range(n)])
-        stacked = _haar_unitaries(ginibres)
-        for g, w in zip(ginibres, stacked):
-            q, r = np.linalg.qr(g)
+        normals = RandomSource(seed).generator().standard_normal((n, 2, 2, 2))
+        stacked = _haar_unitaries(normals)
+        for (re, im), w in zip(normals, stacked):
+            q, r = np.linalg.qr((re + 1j * im) / math.sqrt(2.0))
             assert same_bits(w, q * (np.diag(r) / np.abs(np.diag(r))))
 
     @settings(max_examples=60, deadline=None)
@@ -185,6 +183,16 @@ class TestRunSweep:
             ExperimentConfig(shot_grid=tuple(range(1, 2**16 + 2)))
         with pytest.raises(InvalidParameterError):
             ExperimentConfig(f_values=(0.5,) * (2**16 + 1))
+
+    @pytest.mark.parametrize("paired", [True, False])
+    def test_builds_no_random_source_per_state_or_trial(self, monkeypatch, paired):
+        # One for the config's seed check and one for the sweep's generator;
+        # every stream after that is a re-key from plain integers.
+        built = []
+        check = RandomSource.__post_init__
+        monkeypatch.setattr(RandomSource, "__post_init__", lambda self: (built.append(self), check(self)))
+        run_sweep(ExperimentConfig(f_values=(0.5, 1.0), shot_grid=(10, 20), n_states=5, seed=9, paired=paired))
+        assert len(built) <= 2
 
     @pytest.mark.parametrize("mode", ["stratified", "multinomial"])
     @pytest.mark.parametrize("paired", [True, False])

@@ -1,6 +1,7 @@
 """Tests for the wire-cut decompositions and overhead formulas."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -277,6 +278,23 @@ class TestDecompositionType:
     def test_rejects_zero_coefficient(self):
         with pytest.raises(InvalidParameterError):
             QpdTerm(0.0, unitary_channel(I2))
+
+    @pytest.mark.parametrize(
+        "coefficient",
+        [10**400, -(10**400), 10**5000, "x", None, 1j, float("inf"), float("nan")],
+        ids=["10**400", "-10**400", "10**5000", "str", "none", "complex", "inf", "nan"],
+    )
+    def test_rejects_coefficient_before_float_conversion(self, coefficient):
+        # float() would raise a bare OverflowError, ValueError or TypeError on the first five.
+        with pytest.raises(InvalidParameterError):
+            QpdTerm(coefficient, unitary_channel(I2))
+
+    def test_stores_a_float_coefficient_without_warnings(self):
+        # Comparing a float16 or float32 with the float64 limits would overflow in a cast and warn.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for coefficient in (1, np.int64(1), np.float32(1.0), np.float16(1.0)):
+                assert type(QpdTerm(coefficient, unitary_channel(I2)).coefficient) is float
 
     def test_describe_is_line_oriented(self):
         text = nme_wire_cut(0.5).describe()

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from helpers import hurwitz_unitary, random_pure_vector
 from nmecut.errors import InvalidParameterError, OutOfRangeError
 from nmecut.linalg import H, I2, PureState, kron
+from nmecut.qpd import nme_wire_cut
 from nmecut.states import (
     bell_state,
     checked_k,
@@ -262,6 +263,18 @@ class TestScalarChecks:
         for function in (nme_state, k_from_f):
             with pytest.raises(InvalidParameterError):
                 function(10**400)
+
+    @pytest.mark.parametrize(
+        "value",
+        ["abc", 1j, None, np.array([0.5, 2.0]), np.array([0.7]), np.complex128(0.7 + 1j)],
+        ids=["str", "complex", "none", "array", "one-element-array", "numpy-complex"],
+    )
+    @pytest.mark.parametrize("function", [checked_overlap, checked_k, nme_wire_cut])
+    def test_non_real_is_a_named_error(self, function, value):
+        # Comparing these raises TypeError or ValueError, or passes and leaves
+        # float() to fail (one-element array) or drop the imaginary part.
+        with pytest.raises(InvalidParameterError, match=r"must be a real number, got "):
+            function(value)
 
     @settings(max_examples=300, deadline=None)
     @given(x=st.integers() | st.floats())
