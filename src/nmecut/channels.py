@@ -11,7 +11,7 @@ channel-equality witness used throughout the tests.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -69,14 +69,6 @@ class QuantumChannel:
     def act(self, rho: Matrix) -> Matrix:
         """sum_i K_i rho K_i^dag on a raw (..., in_dim, in_dim) stack of matrices, unchecked."""
         return sum(k @ rho @ dagger(k) for k in self.kraus)
-
-    def apply(self, rho: DensityOperator) -> DensityOperator:
-        """The channel's action as a validated density operator."""
-        if rho.dim != self.in_dim:
-            raise DimensionMismatchError(
-                f"state dim {rho.dim} does not match channel input dim {self.in_dim}"
-            )
-        return DensityOperator(dim=self.out_dim, matrix=self.act(rho.matrix))
 
     @cached_property
     def choi(self) -> Matrix:
@@ -159,26 +151,25 @@ def teleportation_channel(resource: DensityOperator) -> QuantumChannel:
     return QuantumChannel(kraus, name="teleport")
 
 
-def teleportation_circuit_branches(
-    resource: DensityOperator,
-) -> list[tuple[tuple[int, int], list[Matrix]]]:
-    """Kraus operators of each measurement branch of the teleportation circuit.
+def teleportation_circuit_channel(resource: DensityOperator) -> QuantumChannel:
+    """Teleportation channel obtained by exact simulation of the 3-qubit circuit.
 
-    The three-qubit circuit is simulated exactly: the input qubit A and the
-    sender half B pass through CNOT(A -> B) then H on A, both are measured,
-    and the receiver qubit C gets X^b then Z^a.  Returns one entry per
-    outcome (a, b); flattening all branches yields the full channel.
+    The input qubit A and the sender half B pass through CNOT(A -> B) then H
+    on A, both are measured, and the receiver qubit C gets X^b then Z^a.  Each
+    outcome (a, b) contributes one Kraus operator per resource eigenvector,
+    in the order a, b, eigenvector.  Equals `teleportation_channel(resource)`
+    as a channel for every valid resource state (verified via Choi matrices
+    in the test suite).
     """
     if resource.dim != 4:
         raise DimensionMismatchError(f"expected a 2-qubit resource, got dim {resource.dim}")
     # Qubit order (A, B, C); the Bell-measurement unitary acts on A, B only.
     u3 = kron(kron(H, I2) @ CNOT, I2)
     eigvals, eigvecs = np.linalg.eigh(resource.matrix)
-    branches = []
+    kraus: list[Matrix] = []
     for a in (0, 1):
         for b in (0, 1):
             correction = (Z if a else I2) @ (X if b else I2)
-            ops: list[Matrix] = []
             for e in range(4):
                 lam = float(eigvals[e])
                 if lam < NORM_TOL:
@@ -191,18 +182,5 @@ def teleportation_circuit_branches(
                     evolved = u3 @ np.kron(basis, chi)
                     for out in (0, 1):
                         m[out, p] = evolved[a * 4 + b * 2 + out]
-                ops.append(np.sqrt(lam) * correction @ m)
-            branches.append(((a, b), ops))
-    return branches
-
-
-def teleportation_circuit_channel(resource: DensityOperator) -> QuantumChannel:
-    """Teleportation channel obtained by exact simulation of the 3-qubit circuit.
-
-    Equals `teleportation_channel(resource)` as a channel for every valid
-    resource state (verified via Choi matrices in the test suite).
-    """
-    kraus: list[Matrix] = []
-    for _, ops in teleportation_circuit_branches(resource):
-        kraus.extend(ops)
+                kraus.append(np.sqrt(lam) * correction @ m)
     return QuantumChannel(kraus, name="teleport-circuit")

@@ -26,7 +26,7 @@ from .errors import (
     ZeroShotsError,
     _shown,
 )
-from .linalg import TRACE_TOL, Matrix, as_matrix, as_unitary, check_hermitian
+from .linalg import TRACE_TOL, Matrix, as_matrix, as_unitary, check_hermitian, dagger
 from .qpd import QuasiProbDecomposition
 
 OBSERVABLE_TOL = 1e-10
@@ -111,11 +111,11 @@ def _check_observable(observable: np.ndarray, dim: int | None = None) -> Matrix:
 
 
 def _pm_one_observable(observable: np.ndarray, dim: int | None = None) -> Matrix:
-    """Checks O once for sampling: square, Hermitian, eigenvalues all +/-1, on `dim` levels if given."""
+    """Checks O once for sampling: square, Hermitian and O^2 = I (eigenvalues all +/-1), on `dim` levels if given."""
     obs = _check_observable(observable, dim)
-    eigs = np.linalg.eigvalsh(obs)
-    if np.any(np.abs(np.abs(eigs) - 1.0) > OBSERVABLE_TOL):
-        raise InvalidObservableError(f"observable eigenvalues {eigs} are not all +/-1")
+    residual = np.abs(obs @ obs - np.eye(obs.shape[0])).max()
+    if residual > OBSERVABLE_TOL:
+        raise InvalidObservableError(f"max |O^2 - I| = {residual:.3e} > {OBSERVABLE_TOL}: eigenvalues not all +/-1")
     return obs
 
 
@@ -183,17 +183,20 @@ def _budget(qpd: QuasiProbDecomposition, total_shots: int, mode: str) -> _Budget
 
 
 def _plus_probabilities(qpd: QuasiProbDecomposition, columns: np.ndarray, obs: Matrix) -> np.ndarray:
-    """(n, terms) +1 probabilities in [0, 1] for an (n, dim) stack of rows W|0>, each checked for dim and norm."""
+    """(n, terms) +1 probabilities in [0, 1] for an (n, dim) stack of rows W|0>, each checked for dim and norm.
+
+    Term i's probability is (1 + <psi|E_i|psi>) / 2, with E_i = sum_K K^dag O K
+    the observable in the Heisenberg picture of its channel, built once per call.
+    """
     if columns.shape[1] != qpd.dim:
         raise DimensionMismatchError(f"state dim {columns.shape[1]} does not match the channels' dim {qpd.dim}")
-    rho = columns[:, :, None] * columns.conj()[:, None, :]
-    norm_error = np.abs(np.trace(rho, axis1=1, axis2=2) - 1.0)
+    norm_error = np.abs(np.einsum("ni,ni->n", columns.conj(), columns) - 1.0)
     if np.any(norm_error > TRACE_TOL):
         row = int(np.argmax(norm_error > TRACE_TOL))
         raise NotUnitTraceError(f"row {row}: |<0|W^dag W|0> - 1| = {norm_error[row]:.3e} > {TRACE_TOL}")
 
-    traces = [np.trace(obs @ t.channel.act(rho), axis1=1, axis2=2) for t in qpd.terms]
-    p_plus = 0.5 * (1.0 + np.real(np.stack(traces, axis=1)))
+    effects = np.stack([sum(dagger(k) @ obs @ k for k in t.channel.kraus) for t in qpd.terms])
+    p_plus = 0.5 * (1.0 + np.real(np.einsum("ni,tij,nj->nt", columns.conj(), effects, columns)))
     bad = ((p_plus < -PROBABILITY_TOL) | (p_plus > 1.0 + PROBABILITY_TOL)).any(axis=1)
     if bad.any():
         row = int(np.argmax(bad))

@@ -27,11 +27,11 @@ from typing import Sequence, TextIO
 import numpy as np
 
 from .errors import InvalidParameterError, NmecutError, _shown
-from .estimator import MODES, RandomSource, RngLike, as_generator, estimate_cut_expectation, exact_expectation
+from .estimator import MODES, RandomSource, RngLike, as_generator
 from .estimator import _budget, _draw_estimate, _expectation, _integer
 from .estimator import _plus_probabilities, _pm_one_observable, _rekey
 from .linalg import Z
-from .qpd import QuasiProbDecomposition, nme_wire_cut
+from .qpd import nme_wire_cut
 from .states import checked_overlap, k_from_f
 
 DEFAULT_F_VALUES = (0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
@@ -143,25 +143,6 @@ def _haar_unitaries(normals: np.ndarray) -> np.ndarray:
     return q * (diagonal / np.abs(diagonal))[:, None, :]
 
 
-def run_trial(
-    k: float,
-    prep: np.ndarray,
-    shots: int,
-    rng: RngLike,
-    mode: str = "stratified",
-    qpd: QuasiProbDecomposition | None = None,
-) -> float:
-    """Absolute error of one cut estimate against the exact expectation.
-
-    Accepts a prebuilt decomposition so callers running many trials at one k
-    build its channels once.
-    """
-    if qpd is None:
-        qpd = nme_wire_cut(k)
-    sampled = estimate_cut_expectation(qpd, prep, Z, shots, rng, mode=mode)
-    return abs(sampled - exact_expectation(prep, Z))
-
-
 def _w_stream(config: ExperimentConfig, f_index: int, state_index: int) -> int:
     if config.paired:
         return _W_ROLE + state_index
@@ -175,10 +156,10 @@ def _sample_stream(f_index: int, shot_index: int, state_index: int) -> int:
 def run_sweep(config: ExperimentConfig) -> list[ExperimentRecord]:
     """One record per (f, shots) pair, averaged over `n_states` random states.
 
-    Each trial equals `run_trial` on its own (seed, stream) keys.  One
-    generator is re-keyed for every stream; each state stream makes one
-    standard-normal draw into an (n, 2, 2, 2) array, and the states of an f
-    share one Haar QR and one probability table.
+    Each trial's error is |estimate_cut_expectation - exact_expectation| on
+    its own (seed, stream) keys.  One generator is re-keyed for every stream;
+    each state stream makes one standard-normal draw into an (n, 2, 2, 2)
+    array, and the states of an f share one Haar QR and one probability table.
     """
     gen = RandomSource(config.seed).generator()
     obs = _pm_one_observable(Z)

@@ -138,17 +138,20 @@ def overlap_f_pure(psi: PureState) -> float:
     return 0.5 * nrm * nrm
 
 
-def _require_real(name: str, value: object) -> None:
-    """InvalidParameterError unless `value` is one real number, so range comparisons on it are defined."""
+def _require_real(name: str, value: object) -> numbers.Real:
+    """`value`, with a numpy float as a Python float; InvalidParameterError unless it is one real number."""
     if not isinstance(value, numbers.Real):
         raise InvalidParameterError(f"{name} must be a real number, got {_shown(value, repr)}")
+    return float(value) if isinstance(value, np.floating) else value
 
 
-# Both checks compare before converting: float() of an integer beyond the
-# float range raises OverflowError, and a comparison with NaN is false.
+# Both checks compare before converting an integer: float() of one beyond the
+# float range raises OverflowError, and a comparison with NaN is false.  A
+# numpy float is converted first: compared with the float64 bound for k, a
+# float16 or float32 casts the bound to its own type and warns of an overflow.
 def checked_overlap(f: float) -> float:
     """Overlap f clamped to [0.5, 1]; OutOfRangeError beyond RANGE_TOL outside."""
-    _require_real("f", f)
+    f = _require_real("f", f)
     if not 0.5 - RANGE_TOL <= f <= 1.0 + RANGE_TOL:
         raise OutOfRangeError(f"f must lie in [0.5, 1], got {_shown(f)}")
     return min(max(float(f), 0.5), 1.0)
@@ -156,7 +159,7 @@ def checked_overlap(f: float) -> float:
 
 def checked_k(k: float) -> float:
     """Entanglement parameter k as a float; InvalidParameterError unless finite and >= 0."""
-    _require_real("k", k)
+    k = _require_real("k", k)
     if not 0.0 <= k <= sys.float_info.max:
         raise InvalidParameterError(f"k must be finite and >= 0, got {_shown(k)}")
     return float(k)

@@ -12,7 +12,6 @@ from nmecut.channels import (
     measure_prepare_channel,
     measure_prepare_flip_channel,
     teleportation_channel,
-    teleportation_circuit_branches,
     teleportation_circuit_channel,
     unitary_channel,
 )
@@ -28,13 +27,13 @@ class TestUnitaryChannel:
     def test_identity(self):
         ch = unitary_channel(I2)
         rho = validate_density(np.diag([0.25, 0.75]))
-        np.testing.assert_allclose(ch.apply(rho).matrix, rho.matrix, atol=1e-15)
+        np.testing.assert_allclose(ch.act(rho.matrix), rho.matrix, atol=1e-15)
 
     def test_hadamard_action(self):
         ch = unitary_channel(H)
         plus = np.full((2, 2), 0.5, dtype=complex)
-        out = ch.apply(validate_density(np.diag([1.0, 0.0])))
-        np.testing.assert_allclose(out.matrix, plus, atol=1e-15)
+        out = ch.act(validate_density(np.diag([1.0, 0.0])).matrix)
+        np.testing.assert_allclose(out, plus, atol=1e-15)
 
     def test_basis_change_conjugations(self):
         # H Z H = X and (SH) Z (SH)^dag = Y, at machine precision.
@@ -50,19 +49,14 @@ class TestApplyAndChoi:
     def test_dephasing_erases_coherence(self):
         dephasing = QuantumChannel([np.diag([1, 0]).astype(complex), np.diag([0, 1]).astype(complex)])
         plus = validate_density(np.full((2, 2), 0.5))
-        np.testing.assert_allclose(dephasing.apply(plus).matrix, I2 / 2, atol=1e-15)
+        np.testing.assert_allclose(dephasing.act(plus.matrix), I2 / 2, atol=1e-15)
 
     def test_teleportation_with_maximal_resource_is_identity(self):
         rng = np.random.default_rng(17)
         ch = teleportation_channel(nme_state(1.0).density())
         for _ in range(5):
             rho = validate_density(random_density_matrix(rng, 2))
-            np.testing.assert_allclose(ch.apply(rho).matrix, rho.matrix, atol=1e-12)
-
-    def test_dimension_mismatch(self):
-        ch = unitary_channel(I2)
-        with pytest.raises(DimensionMismatchError):
-            ch.apply(validate_density(np.eye(4) / 4))
+            np.testing.assert_allclose(ch.act(rho.matrix), rho.matrix, atol=1e-12)
 
     def test_choi_of_identity(self):
         expected = np.zeros((4, 4), dtype=complex)
@@ -158,7 +152,7 @@ class TestTeleportationCircuit:
     def test_exact_teleportation_of_plus_state(self):
         ch = teleportation_circuit_channel(nme_state(1.0).density())
         plus = validate_density(np.full((2, 2), 0.5))
-        np.testing.assert_allclose(ch.apply(plus).matrix, plus.matrix, atol=1e-12)
+        np.testing.assert_allclose(ch.act(plus.matrix), plus.matrix, atol=1e-12)
 
     def test_matches_analytic_form_half_entangled(self):
         resource = nme_state(0.5).density()
@@ -180,21 +174,22 @@ class TestTeleportationCircuit:
             assert deviation <= 1e-10
 
     def test_branch_probabilities_uniform_for_bell_measurement(self):
-        branches = teleportation_circuit_branches(nme_state(1.0).density())
+        # A pure resource has one eigenvector, so each outcome (a, b) gives one Kraus operator.
+        ch = teleportation_circuit_channel(nme_state(1.0).density())
         mixed = np.eye(2, dtype=complex) / 2
-        assert len(branches) == 4
-        for _, ops in branches:
-            prob = sum(np.trace(k @ mixed @ k.conj().T).real for k in ops)
+        assert len(ch.kraus) == 4
+        for k in ch.kraus:
+            prob = np.trace(k @ mixed @ k.conj().T).real
             assert prob == pytest.approx(0.25, abs=1e-12)
 
 
 class TestMeasurePrepareChannels:
     def test_flip_on_basis_states(self):
         ch = measure_prepare_flip_channel()
-        out0 = ch.apply(validate_density(np.diag([1.0, 0.0])))
-        np.testing.assert_allclose(out0.matrix, np.diag([0.0, 1.0]), atol=1e-15)
-        out1 = ch.apply(validate_density(np.diag([0.0, 1.0])))
-        np.testing.assert_allclose(out1.matrix, np.diag([1.0, 0.0]), atol=1e-15)
+        out0 = ch.act(validate_density(np.diag([1.0, 0.0])).matrix)
+        np.testing.assert_allclose(out0, np.diag([0.0, 1.0]), atol=1e-15)
+        out1 = ch.act(validate_density(np.diag([0.0, 1.0])).matrix)
+        np.testing.assert_allclose(out1, np.diag([1.0, 0.0]), atol=1e-15)
 
     def test_flip_on_plus_state(self):
         # Oracle: (X|0><0|X + X|1><1|X) / 2 evaluated directly.
@@ -202,8 +197,8 @@ class TestMeasurePrepareChannels:
         e1 = np.diag([0.0, 1.0]).astype(complex)
         expected = 0.5 * (X @ e0 @ X + X @ e1 @ X)
         np.testing.assert_allclose(expected, I2 / 2, atol=1e-15)
-        out = measure_prepare_flip_channel().apply(validate_density(np.full((2, 2), 0.5)))
-        np.testing.assert_allclose(out.matrix, expected, atol=1e-15)
+        out = measure_prepare_flip_channel().act(validate_density(np.full((2, 2), 0.5)).matrix)
+        np.testing.assert_allclose(out, expected, atol=1e-15)
 
     def test_xy_mixture_equals_measure_flip(self):
         # (X rho X + Y rho Y)/2 and measure-then-flip are the same channel.
@@ -214,9 +209,9 @@ class TestMeasurePrepareChannels:
     def test_measure_prepare_in_rotated_basis(self):
         ch = measure_prepare_channel(H)
         plus = validate_density(np.full((2, 2), 0.5))
-        np.testing.assert_allclose(ch.apply(plus).matrix, plus.matrix, atol=1e-15)
+        np.testing.assert_allclose(ch.act(plus.matrix), plus.matrix, atol=1e-15)
         zero = validate_density(np.diag([1.0, 0.0]))
-        np.testing.assert_allclose(ch.apply(zero).matrix, I2 / 2, atol=1e-15)
+        np.testing.assert_allclose(ch.act(zero.matrix), I2 / 2, atol=1e-15)
 
 
 def test_kraus_operators_are_immutable():

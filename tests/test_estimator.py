@@ -20,12 +20,19 @@ from nmecut.errors import (
     OutOfRangeError,
     ZeroShotsError,
 )
-from nmecut.channels import conjugate_channel, measure_prepare_flip_channel, teleportation_channel, unitary_channel
+from nmecut.channels import (
+    QuantumChannel,
+    conjugate_channel,
+    measure_prepare_flip_channel,
+    teleportation_channel,
+    unitary_channel,
+)
 from nmecut.estimator import (
     MAX_SHOTS,
     MODES,
     RandomSource,
     _plus_probabilities,
+    _pm_one_observable,
     _rekey,
     allocate_shots,
     estimate_cut_expectation,
@@ -38,6 +45,7 @@ from nmecut.states import nme_state
 
 ZERO = validate_density(np.diag([1.0, 0.0]))
 PLUS = validate_density(np.full((2, 2), 0.5))
+ROTATION = haar_random_unitary(RandomSource(5, 0))
 GOLDEN_ESTIMATES = Path(__file__).parent / "data" / "golden_estimates.csv"
 
 
@@ -219,7 +227,7 @@ class TestSampleBranchExpectation:
     def test_flip_branch_is_deterministically_negative(self):
         # Oracle: the flip channel maps |0><0| to |1><1|, so <Z> = -1 exactly.
         ch = measure_prepare_flip_channel()
-        exact = float(np.real(np.trace(Z @ ch.apply(ZERO).matrix)))
+        exact = float(np.real(np.trace(Z @ ch.act(ZERO.matrix))))
         assert exact == -1.0
         for shots in (1, 7, 500):
             assert estimate_cut_expectation(one_term(ch), I2, Z, shots, RandomSource(3, 1)) == -1.0
@@ -228,7 +236,7 @@ class TestSampleBranchExpectation:
         # Oracle: exact channel application gives the target expectation;
         # the preparation H sends |0> to |+>.
         ch = conjugate_channel(H, teleportation_channel(nme_state(0.5).density()))
-        exact = float(np.real(np.trace(Z @ ch.apply(PLUS).matrix)))
+        exact = float(np.real(np.trace(Z @ ch.act(PLUS.matrix))))
         qpd = one_term(ch)
         gen = RandomSource(77, 0).generator()
         reps = 1000
@@ -378,15 +386,63 @@ class TestPlusProbabilities:
         assert table.shape == (n, len(qpd.terms))
         for i, c in enumerate(columns):
             assert same_bits(table[i], _plus_probabilities(qpd, columns[i : i + 1], Z)[0])
-            # Kraus oracle: the per-state expression the stacked kernel replaced.
+            # Kraus oracle: the Schrodinger-picture expression, equal up to rounding.
             values = np.array([np.real(np.trace(Z @ t.channel.act(np.outer(c, c.conj())))) for t in qpd.terms])
-            assert same_bits(table[i], np.clip(0.5 * (1.0 + values), 0.0, 1.0))
+            assert np.abs(table[i] - np.clip(0.5 * (1.0 + values), 0.0, 1.0)).max() <= 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        dim=st.sampled_from([2, 4]),
+        n_kraus=st.lists(st.integers(1, 4), min_size=1, max_size=3),
+        n=st.integers(1, 20),
+    )
+    def test_effects_agree_with_the_kraus_action(self, seed, dim, n_kraus, n):
+        # Random CPTP terms (Kraus sets cut from a random isometry), unit states
+        # and +/-1 observables U diag(+/-1) U^dag; the oracle is QuantumChannel.act.
+        gen = np.random.default_rng(seed)
+
+        def isometry(rows, cols):
+            q, _ = np.linalg.qr(gen.standard_normal((rows, cols)) + 1j * gen.standard_normal((rows, cols)))
+            return q
+
+        channels = [QuantumChannel(isometry(m * dim, dim).reshape(m, dim, dim)) for m in n_kraus]
+        qpd = QuasiProbDecomposition(tuple(QpdTerm(1.0 / len(channels), ch) for ch in channels))
+        u = isometry(dim, dim)
+        obs = u @ np.diag(gen.choice([-1.0, 1.0], size=dim)) @ u.conj().T
+        columns = gen.standard_normal((n, dim)) + 1j * gen.standard_normal((n, dim))
+        columns /= np.linalg.norm(columns, axis=1, keepdims=True)
+        table = _plus_probabilities(qpd, columns, _pm_one_observable(obs, dim))
+        rho = columns[:, :, None] * columns.conj()[:, None, :]
+        values = np.stack([np.real(np.trace(obs @ ch.act(rho), axis1=1, axis2=2)) for ch in channels], axis=1)
+        assert np.abs(table - 0.5 * (1.0 + values)).max() <= 1e-12
 
     def test_unnormalized_row_is_named(self):
         rows = np.full((5, 2), 1.0 / math.sqrt(2.0), dtype=complex)
         rows[3] = [2.0, 0.0]
         with pytest.raises(NotUnitTraceError, match=r"^row 3: \|<0\|W\^dag W\|0> - 1\| = 3\.000e\+00 > "):
             _plus_probabilities(nme_wire_cut(0.5), rows, Z)
+
+    @pytest.mark.parametrize(
+        "observable",
+        [Z, X, -I2, ROTATION @ Z @ ROTATION.conj().T],
+        ids=["Z", "X", "minus-identity", "rotated-Z"],
+    )
+    def test_square_to_identity_check_accepts(self, observable):
+        assert same_bits(_pm_one_observable(observable, 2), np.asarray(observable, dtype=complex))
+
+    @pytest.mark.parametrize(
+        "observable, error",
+        [
+            (2.0 * Z, InvalidObservableError),
+            (np.diag([1.0, 1.0 + 1e-6]), InvalidObservableError),
+            (np.array([[1.0, 1.0], [0.0, -1.0]]), NotHermitianError),  # squares to I
+        ],
+        ids=["2Z", "eigenvalue-off-by-1e-6", "non-hermitian"],
+    )
+    def test_square_to_identity_check_rejects(self, observable, error):
+        with pytest.raises(error):
+            _pm_one_observable(observable, 2)
 
     def test_out_of_range_probability_row_is_named(self):
         # The kernel trusts its caller's observable.  With 3Z the |+> rows stay at

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from helpers import hurwitz_unitary, rank_sum_z, same_bits
 from nmecut.errors import InvalidParameterError
-from nmecut.estimator import RandomSource, RngLike, as_generator
+from nmecut.estimator import RandomSource, RngLike, as_generator, estimate_cut_expectation, exact_expectation
 from nmecut.experiment import (
     CsvFormatError,
     ExperimentConfig,
@@ -24,10 +24,9 @@ from nmecut.experiment import (
     read_csv,
     render_svg,
     run_sweep,
-    run_trial,
     write_csv,
 )
-from nmecut.linalg import H, I2
+from nmecut.linalg import H, I2, Z
 from nmecut.qpd import nme_wire_cut
 from nmecut.states import k_from_f
 
@@ -47,9 +46,16 @@ class TestHaarRandomUnitary:
     def test_first_entry_moment(self):
         # Haar moment E|W00|^2 = 1/2 in dimension 2; the oracle is an
         # independent angle-parametrized sampler.
+        # The 100,000 matrices come from one stacked draw, which gives the bits
+        # of 100,000 sequential haar_random_unitary calls; the first rows are
+        # checked against those calls.
         gen = RandomSource(7, 0).generator()
         samples = 100_000
-        mean = np.mean([abs(haar_random_unitary(gen)[0, 0]) ** 2 for _ in range(samples)])
+        stacked = _haar_unitaries(gen.standard_normal((samples, 2, 2, 2)))
+        scalar_gen = RandomSource(7, 0).generator()
+        for w in stacked[:5]:
+            assert same_bits(w, haar_random_unitary(scalar_gen))
+        mean = np.mean(np.abs(stacked[:, 0, 0]) ** 2)
         assert mean == pytest.approx(0.5, abs=0.01)
         oracle_gen = np.random.default_rng(7)
         oracle = np.mean([abs(hurwitz_unitary(oracle_gen)[0, 0]) ** 2 for _ in range(20_000)])
@@ -88,9 +94,17 @@ class TestStackedHaar:
             assert same_bits(haar_random_unitary(gen), haar_reference(reference_gen))
 
 
+def trial_error(k, prep, shots, rng, mode="stratified", qpd=None):
+    """|estimate - exact| of one cut estimate of <Z>, the error the sweep averages per cell."""
+    qpd = nme_wire_cut(k) if qpd is None else qpd
+    return abs(estimate_cut_expectation(qpd, prep, Z, shots, rng, mode=mode) - exact_expectation(prep, Z))
+
+
 class TestRunTrial:
+    """One trial's error, built from the public estimator calls."""
+
     def test_deterministic_zero_error(self):
-        error = run_trial(1.0, I2, 100, RandomSource(0, 0))
+        error = trial_error(1.0, I2, 100, RandomSource(0, 0))
         assert error == 0.0
 
     def test_pure_shot_noise_tail(self):
@@ -98,7 +112,7 @@ class TestRunTrial:
         # its 95th percentile stays below 2.8/sqrt(N).
         shots = 5000
         gen = RandomSource(13, 0).generator()
-        errors = np.array([run_trial(1.0, H, shots, gen) for _ in range(300)])
+        errors = np.array([trial_error(1.0, H, shots, gen) for _ in range(300)])
         assert np.quantile(errors, 0.95) <= 2.8 / math.sqrt(shots)
 
     def test_error_grows_without_entanglement(self):
@@ -111,7 +125,7 @@ class TestRunTrial:
             values = np.empty(states)
             for i in range(states):
                 w = haar_random_unitary(RandomSource(100, i))
-                values[i] = run_trial(k, w, shots, RandomSource(200 + int(k), i))
+                values[i] = trial_error(k, w, shots, RandomSource(200 + int(k), i))
             errors[k] = values
         assert rank_sum_z(errors[0.0], errors[1.0]) > 4.0
 
@@ -119,12 +133,12 @@ class TestRunTrial:
         gen = RandomSource(3, 0).generator()
         for _ in range(200):
             w = haar_random_unitary(gen)
-            assert run_trial(0.0, w, 250, gen) <= 2.0
+            assert trial_error(0.0, w, 250, gen) <= 2.0
 
 
 class TestRunSweep:
     def test_identity_prep_gives_zero_error(self):
-        assert run_trial(1.0, I2, 100, RandomSource(1, 0)) == 0.0
+        assert trial_error(1.0, I2, 100, RandomSource(1, 0)) == 0.0
 
     def test_record_schema(self):
         config = ExperimentConfig(
@@ -213,7 +227,7 @@ class TestRunSweep:
             ]
             for ji, shots in enumerate(config.shot_grid):
                 errors = np.array([
-                    run_trial(
+                    trial_error(
                         k, preps[si], shots,
                         RandomSource(config.seed, _sample_stream(fi, ji, si)), mode, qpd,
                     )

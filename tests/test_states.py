@@ -2,6 +2,7 @@
 
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -275,6 +276,24 @@ class TestScalarChecks:
         # float() to fail (one-element array) or drop the imaginary part.
         with pytest.raises(InvalidParameterError, match=r"must be a real number, got "):
             function(value)
+
+    @pytest.mark.parametrize("kind", [np.float16, np.float32, np.float64, np.int8, np.int64, np.uint64])
+    @pytest.mark.parametrize("function", [checked_overlap, checked_k, nme_wire_cut])
+    def test_numpy_scalars_are_checked_without_warnings(self, function, kind):
+        # A float16 or float32 compared with the float64 bound for k used to
+        # warn of an overflow in a cast, which -W error turns into a failure.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if function is nme_wire_cut:
+                assert function(kind(1)).kappa == function(1.0).kappa
+            else:
+                value = function(kind(1))
+                assert type(value) is float and value == 1.0
+            bad = [2] if function is checked_overlap else [] if np.issubdtype(kind, np.unsignedinteger) else [-1]
+            bad += [np.inf, np.nan] if np.issubdtype(kind, np.floating) else []
+            for value in bad:
+                with pytest.raises(InvalidParameterError):
+                    function(kind(value))
 
     @settings(max_examples=300, deadline=None)
     @given(x=st.integers() | st.floats())
