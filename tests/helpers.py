@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 
+from nmecut.linalg import CNOT, NORM_TOL, H, I2, X, Z
+
 
 def random_density_matrix(rng: np.random.Generator, dim: int) -> np.ndarray:
     """Ginibre construction: A A^dag normalized to unit trace."""
@@ -37,6 +39,36 @@ def hurwitz_unitary(rng: np.random.Generator) -> np.ndarray:
         ]
     )
     return np.exp(1j * alpha) * su2
+
+
+def teleportation_circuit_kraus(resource: np.ndarray) -> list[np.ndarray]:
+    """Gate-by-gate reference for the teleportation circuit's Kraus operators.
+
+    Qubits (A, B, C): A holds the input, (B, C) the resource.  For each input
+    basis state |p> and resource eigenvector chi, apply CNOT(A -> B) then H on
+    A, project A and B on the outcome (a, b), and correct C with Z^a X^b.
+    Operators come in the order a, b, eigenvector, each scaled by sqrt(lambda).
+    """
+    u3 = np.kron(np.kron(H, I2) @ CNOT, I2)
+    eigvals, eigvecs = np.linalg.eigh(resource)
+    kraus = []
+    for a in (0, 1):
+        for b in (0, 1):
+            correction = (Z if a else I2) @ (X if b else I2)
+            for e in range(4):
+                lam = float(eigvals[e])
+                if lam < NORM_TOL:
+                    continue
+                chi = eigvecs[:, e]
+                m = np.zeros((2, 2), dtype=complex)
+                for p in (0, 1):
+                    basis = np.zeros(2, dtype=complex)
+                    basis[p] = 1.0
+                    evolved = u3 @ np.kron(basis, chi)
+                    for out in (0, 1):
+                        m[out, p] = evolved[a * 4 + b * 2 + out]
+                kraus.append(np.sqrt(lam) * correction @ m)
+    return kraus
 
 
 def rank_sum_z(a: np.ndarray, b: np.ndarray) -> float:

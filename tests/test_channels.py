@@ -3,8 +3,13 @@
 import numpy as np
 import pytest
 
-from helpers import random_density_matrix
-from nmecut.errors import DimensionMismatchError, NotTracePreservingError, NotUnitaryError
+from helpers import random_density_matrix, teleportation_circuit_kraus
+from nmecut.errors import (
+    DimensionMismatchError,
+    InvalidParameterError,
+    NotTracePreservingError,
+    NotUnitaryError,
+)
 from nmecut.channels import (
     QuantumChannel,
     bell_overlaps,
@@ -173,6 +178,18 @@ class TestTeleportationCircuit:
             ).max()
             assert deviation <= 1e-10
 
+    def test_kraus_operators_match_the_gate_by_gate_reference(self):
+        # Operator by operator, in the order (a, b, eigenvector): the Choi test
+        # above would not see a reordering or a per-operator phase.
+        rng = np.random.default_rng(53)
+        resources = [nme_state(k).density() for k in np.linspace(0.0, 1.0, 11)]
+        resources += [validate_density(random_density_matrix(rng, 4)) for _ in range(20)]
+        for resource in resources:
+            got = teleportation_circuit_channel(resource).kraus
+            expected = teleportation_circuit_kraus(resource.matrix)
+            assert len(got) == len(expected)
+            assert np.abs(np.asarray(got) - np.asarray(expected)).max() <= 1e-14
+
     def test_branch_probabilities_uniform_for_bell_measurement(self):
         # A pure resource has one eigenvector, so each outcome (a, b) gives one Kraus operator.
         ch = teleportation_circuit_channel(nme_state(1.0).density())
@@ -214,8 +231,49 @@ class TestMeasurePrepareChannels:
         np.testing.assert_allclose(ch.act(zero.matrix), I2 / 2, atol=1e-15)
 
 
-def test_kraus_operators_are_immutable():
-    ch = teleportation_channel(nme_state(0.5).density())
+class TestConstructorContract:
+    def test_empty_kraus_list_rejected(self):
+        with pytest.raises(InvalidParameterError):
+            QuantumChannel([])
+
+    def test_inconsistent_shapes_rejected(self):
+        with pytest.raises(DimensionMismatchError):
+            QuantumChannel([I2 / np.sqrt(2), np.eye(3) / np.sqrt(2)])
+
+    @pytest.mark.parametrize(
+        "op", [np.ones(2, dtype=complex), np.ones((1, 2, 2), dtype=complex)], ids=["1-d", "3-d"]
+    )
+    def test_operator_of_wrong_ndim_rejected(self, op):
+        with pytest.raises(InvalidParameterError):
+            QuantumChannel([op])
+
+    def test_non_finite_entry_rejected(self):
+        with pytest.raises(InvalidParameterError):
+            QuantumChannel([np.array([[1.0, 0.0], [0.0, np.nan]])])
+
+    def test_input_is_neither_aliased_nor_frozen(self):
+        op = np.array(H)
+        ch = QuantumChannel([op])
+        assert op.flags.writeable
+        assert not np.shares_memory(op, ch.kraus)
+        op[0, 0] = 7.0
+        np.testing.assert_array_equal(ch.kraus[0], H)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: unitary_channel(H),
+        lambda: conjugate_channel(H, teleportation_channel(nme_state(0.5).density())),
+        lambda: measure_prepare_channel(S @ H),
+        measure_prepare_flip_channel,
+        lambda: teleportation_channel(nme_state(0.5).density()),
+        lambda: teleportation_circuit_channel(nme_state(0.5).density()),
+    ],
+    ids=["unitary", "conjugate", "measure-prepare", "flip", "teleport", "teleport-circuit"],
+)
+def test_kraus_operators_are_immutable(build):
+    ch = build()
     with pytest.raises(ValueError):
         ch.kraus[0][0, 0] = 1.0
 
