@@ -3,9 +3,11 @@
 Builds the channels the wire-cut decompositions are made of: unitary
 conjugations, basis measure-and-prepare maps, the measure-and-flip map, and
 the teleportation channel for an arbitrary two-qubit resource state in both
-its analytic (Bell-overlap) and explicit-circuit forms.  Choi matrices are
-derived on demand and cached; equality of Choi matrices is the canonical
-channel-equality witness used throughout the tests.
+its analytic (Bell-overlap) and explicit-circuit forms.  A channel's Kraus
+set is one read-only complex (n, out, in) array, so each construction, check
+and contraction is an array operation.  Choi matrices are derived on demand
+and cached; equality of Choi matrices is the canonical channel-equality
+witness used throughout the tests.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from .linalg import (
     Z,
     DensityOperator,
     Matrix,
-    as_matrix,
     as_unitary,
     dagger,
     kron,
@@ -35,49 +36,57 @@ from .states import _BELL_VECTORS
 
 TRACE_PRESERVING_TOL = 1e-10
 
+# The teleportation circuit on qubits (A, B, C): CNOT(A -> B) then H on A, as
+# a tensor [a, b, out, p, j] from input |p>_A |j>_BC to outcome |a, b>_AB |out>_C.
+_BELL_MEASUREMENT = kron(kron(H, I2) @ CNOT, I2).reshape(2, 2, 2, 2, 4)
+# The receiver's correction Z^a X^b for each outcome, indexed [a, b, row, col].
+_CORRECTIONS = np.array([[I2, X], [Z, Z @ X]])
+
 
 class QuantumChannel:
-    """Completely positive trace-preserving map stored as a Kraus set.
+    """Completely positive trace-preserving map stored as one Kraus array.
 
-    Instances are immutable after construction; the Choi matrix is computed
-    lazily and cached (idempotent, safe under concurrent first access).
+    `kraus` is a read-only complex (n, out_dim, in_dim) array, copied from
+    the caller's operators.  Instances are immutable after construction; the
+    Choi matrix is computed lazily and cached (idempotent, safe under
+    concurrent first access).
     """
 
     def __init__(self, kraus: Iterable[np.ndarray], name: str = "") -> None:
-        ops = tuple(as_matrix(k) for k in kraus)
+        ops = list(kraus)
         if not ops:
             raise InvalidParameterError("a channel needs at least one Kraus operator")
-        out_dim, in_dim = ops[0].shape
-        for k in ops:
-            if k.shape != (out_dim, in_dim):
-                raise DimensionMismatchError(
-                    f"inconsistent Kraus shapes: {k.shape} vs {(out_dim, in_dim)}"
-                )
-        total = sum(dagger(k) @ k for k in ops)
+        shapes = set(map(np.shape, ops))
+        if any(len(shape) != 2 for shape in shapes):
+            raise InvalidParameterError(f"Kraus operators must be 2-d matrices, got shapes {sorted(shapes)}")
+        if len(shapes) > 1:
+            raise DimensionMismatchError(f"inconsistent Kraus shapes: {sorted(shapes)}")
+        stack = np.array(ops, dtype=complex)
+        if not np.isfinite(stack).all():  # a complex entry is finite only if both parts are
+            raise InvalidParameterError("Kraus operators contain non-finite entries")
+        _, out_dim, in_dim = stack.shape
+        total = np.einsum("kji,kjl->il", stack.conj(), stack)
         residual = np.abs(total - np.eye(in_dim)).max()
         if residual > TRACE_PRESERVING_TOL:
             raise NotTracePreservingError(
                 f"max |sum(K^dag K) - I| = {residual:.3e} > {TRACE_PRESERVING_TOL}"
             )
-        for k in ops:
-            k.flags.writeable = False
-        self.kraus = ops
+        stack.flags.writeable = False
+        self.kraus = stack
         self.in_dim = in_dim
         self.out_dim = out_dim
         self.name = name
 
     def act(self, rho: Matrix) -> Matrix:
         """sum_i K_i rho K_i^dag on a raw (..., in_dim, in_dim) stack of matrices, unchecked."""
-        return sum(k @ rho @ dagger(k) for k in self.kraus)
+        return np.einsum("kij,...jl,kml->...im", self.kraus, rho, self.kraus.conj())
 
     @cached_property
     def choi(self) -> Matrix:
         """Choi matrix sum_ij |i><j| (x) Channel(|i><j|); trace = in_dim."""
-        d = self.in_dim * self.out_dim
-        j = np.zeros((d, d), dtype=complex)
-        for k in self.kraus:
-            v = k.T.reshape(-1)  # (I (x) K) applied to sum_i |i>|i>
-            j += np.outer(v, v.conj())
+        # Row k is (I (x) K_k) applied to sum_i |i>|i>, i.e. K_k^T flattened.
+        v = self.kraus.transpose(0, 2, 1).reshape(len(self.kraus), -1)
+        j = v.T @ v.conj()
         j.flags.writeable = False
         return j
 
@@ -93,20 +102,18 @@ def unitary_channel(u: np.ndarray, name: str = "") -> QuantumChannel:
 
 def conjugate_channel(u: np.ndarray, ch: QuantumChannel, name: str = "") -> QuantumChannel:
     """U . Channel(U^dag . U) . U^dag, i.e. each Kraus operator becomes U K U^dag."""
-    u = as_matrix(u)
-    return QuantumChannel([u @ k @ dagger(u) for k in ch.kraus], name=name)
+    u = as_unitary(u)
+    if not u.shape[0] == ch.in_dim == ch.out_dim:
+        raise DimensionMismatchError(
+            f"unitary of dim {u.shape[0]} cannot conjugate a {ch.in_dim}->{ch.out_dim} channel"
+        )
+    return QuantumChannel(u @ ch.kraus @ dagger(u), name=name)
 
 
 def measure_prepare_channel(u: np.ndarray, name: str = "") -> QuantumChannel:
     """Measure in the basis {U|j>} and re-prepare the observed basis state."""
-    u = as_matrix(u)
-    d = u.shape[0]
-    projectors = []
-    for j in range(d):
-        e = np.zeros(d, dtype=complex)
-        e[j] = 1.0
-        v = u @ e
-        projectors.append(np.outer(v, v.conj()))
+    columns = as_unitary(u).T  # row j is U|j>
+    projectors = columns[:, :, None] * columns.conj()[:, None, :]
     return QuantumChannel(projectors, name=name or "measure-prepare")
 
 
@@ -163,24 +170,9 @@ def teleportation_circuit_channel(resource: DensityOperator) -> QuantumChannel:
     """
     if resource.dim != 4:
         raise DimensionMismatchError(f"expected a 2-qubit resource, got dim {resource.dim}")
-    # Qubit order (A, B, C); the Bell-measurement unitary acts on A, B only.
-    u3 = kron(kron(H, I2) @ CNOT, I2)
     eigvals, eigvecs = np.linalg.eigh(resource.matrix)
-    kraus: list[Matrix] = []
-    for a in (0, 1):
-        for b in (0, 1):
-            correction = (Z if a else I2) @ (X if b else I2)
-            for e in range(4):
-                lam = float(eigvals[e])
-                if lam < NORM_TOL:
-                    continue
-                chi = eigvecs[:, e]
-                m = np.zeros((2, 2), dtype=complex)
-                for p in (0, 1):
-                    basis = np.zeros(2, dtype=complex)
-                    basis[p] = 1.0
-                    evolved = u3 @ np.kron(basis, chi)
-                    for out in (0, 1):
-                        m[out, p] = evolved[a * 4 + b * 2 + out]
-                kraus.append(np.sqrt(lam) * correction @ m)
-    return QuantumChannel(kraus, name="teleport-circuit")
+    keep = eigvals >= NORM_TOL
+    chis = eigvecs[:, keep] * np.sqrt(eigvals[keep])  # column e is sqrt(lambda_e) chi_e
+    # K_{a,b,e}[x, p] = sum_{out,j} corr_ab[x, out] U[a, b, out, p, j] chi_e[j]
+    kraus = np.einsum("abxo,abopj,je->abexp", _CORRECTIONS, _BELL_MEASUREMENT, chis)
+    return QuantumChannel(kraus.reshape(-1, 2, 2), name="teleport-circuit")

@@ -195,7 +195,7 @@ def _plus_probabilities(qpd: QuasiProbDecomposition, columns: np.ndarray, obs: M
         row = int(np.argmax(norm_error > TRACE_TOL))
         raise NotUnitTraceError(f"row {row}: |<0|W^dag W|0> - 1| = {norm_error[row]:.3e} > {TRACE_TOL}")
 
-    effects = np.stack([sum(dagger(k) @ obs @ k for k in t.channel.kraus) for t in qpd.terms])
+    effects = np.stack([(dagger(t.channel.kraus) @ obs @ t.channel.kraus).sum(axis=0) for t in qpd.terms])
     p_plus = 0.5 * (1.0 + np.real(np.einsum("ni,tij,nj->nt", columns.conj(), effects, columns)))
     bad = ((p_plus < -PROBABILITY_TOL) | (p_plus > 1.0 + PROBABILITY_TOL)).any(axis=1)
     if bad.any():

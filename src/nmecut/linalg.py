@@ -58,8 +58,8 @@ def as_matrix(a: npt.ArrayLike) -> Matrix:
 
 
 def dagger(a: Matrix) -> Matrix:
-    """Conjugate transpose."""
-    return a.conj().T
+    """Conjugate transpose of a matrix, or of each matrix in a (..., rows, cols) stack."""
+    return a.conj().swapaxes(-1, -2)
 
 
 def check_hermitian(m: Matrix) -> Matrix:
@@ -71,8 +71,10 @@ def check_hermitian(m: Matrix) -> Matrix:
 
 
 def as_unitary(u: npt.ArrayLike) -> Matrix:
-    """as_matrix(u); NotUnitaryError if max |U^dag U - I| > UNITARY_TOL."""
+    """as_matrix(u); NotUnitaryError if it is not square or max |U^dag U - I| > UNITARY_TOL."""
     u = as_matrix(u)
+    if u.shape[0] != u.shape[1]:
+        raise NotUnitaryError(f"a unitary must be square, got shape {u.shape}")
     residual = np.abs(dagger(u) @ u - np.eye(u.shape[0])).max()
     if residual > UNITARY_TOL:
         raise NotUnitaryError(f"max |U^dag U - I| = {residual:.3e} > {UNITARY_TOL}")

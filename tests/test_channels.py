@@ -93,6 +93,30 @@ class TestApplyAndChoi:
             QuantumChannel([0.5 * I2])
 
 
+class TestBasisChecks:
+    def test_conjugate_rejects_a_unitary_of_another_dim(self):
+        with pytest.raises(DimensionMismatchError, match="dim 3"):
+            conjugate_channel(np.eye(3), measure_prepare_flip_channel())
+
+    def test_conjugate_rejects_a_non_unitary(self):
+        with pytest.raises(NotUnitaryError):
+            conjugate_channel(2 * I2, measure_prepare_flip_channel())
+
+    def test_measure_prepare_rejects_a_non_square_basis(self):
+        with pytest.raises(NotUnitaryError, match=r"shape \(2, 3\)"):
+            measure_prepare_channel(np.ones((2, 3)))
+
+    def test_measure_prepare_rejects_a_non_unitary_basis(self):
+        with pytest.raises(NotUnitaryError):
+            measure_prepare_channel(np.ones((2, 2)))
+
+    def test_conjugate_matches_operator_by_operator_product(self):
+        tel = teleportation_channel(validate_density(random_density_matrix(np.random.default_rng(5), 4)))
+        got = conjugate_channel(S @ H, tel).kraus
+        expected = [(S @ H) @ k @ (S @ H).conj().T for k in tel.kraus]
+        np.testing.assert_allclose(got, expected, atol=1e-15)
+
+
 class TestBellOverlaps:
     def test_half_entangled_frozen_values(self):
         # Oracle: explicit inner products with the four Bell vectors.

@@ -5,11 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nmecut
+from nmecut.channels import unitary_channel
 from nmecut.errors import (
     DimensionMismatchError,
     InvalidParameterError,
     NotHermitianError,
     NotPositiveError,
+    NotUnitaryError,
     NotUnitTraceError,
 )
 from nmecut.linalg import (
@@ -20,6 +23,7 @@ from nmecut.linalg import (
     DensityOperator,
     PureState,
     as_matrix,
+    as_unitary,
     kron,
     validate_density,
 )
@@ -74,6 +78,17 @@ class TestAsMatrix:
     def test_rejects_a_non_finite_part(self, entry):
         with pytest.raises(InvalidParameterError, match="non-finite"):
             as_matrix(np.array([[1.0, entry], [0.0, 1.0]]))
+
+
+@pytest.mark.parametrize(
+    "check",
+    [as_unitary, unitary_channel, lambda u: nmecut.exact_expectation(u, Z)],
+    ids=["as_unitary", "unitary_channel", "exact_expectation"],
+)
+@pytest.mark.parametrize("shape", [(3, 2), (2, 3)])
+def test_non_square_unitary_is_a_named_error(check, shape):
+    with pytest.raises(NotUnitaryError, match=rf"square, got shape \({shape[0]}, {shape[1]}\)"):
+        check(np.ones(shape) / 2)
 
 
 class TestValidateDensity:
