@@ -2,8 +2,8 @@
 
 Builds the channels the wire-cut decompositions are made of: unitary
 conjugations, basis measure-and-prepare maps, the measure-and-flip map, and
-the teleportation channel for an arbitrary two-qubit resource state in both
-its analytic (Bell-overlap) and explicit-circuit forms.  A channel's Kraus
+the teleportation channel for any two-qubit `DensityOperator` resource in
+both its analytic (Bell-overlap) and explicit-circuit forms.  A channel's Kraus
 set is one read-only complex (n, out, in) array, so each construction, check
 and contraction is an array operation.  Choi matrices are derived on demand
 and cached; equality of Choi matrices is the canonical channel-equality
@@ -29,6 +29,7 @@ from .linalg import (
     DensityOperator,
     Matrix,
     as_unitary,
+    check_two_qubit,
     dagger,
     kron,
 )
@@ -133,10 +134,9 @@ def bell_overlaps(rho: DensityOperator) -> dict[str, float]:
     The values are nonnegative up to float noise and sum to 1 for any valid
     two-qubit density operator.
     """
-    if rho.dim != 4:
-        raise DimensionMismatchError(f"expected a 2-qubit state, got dim {rho.dim}")
+    m = check_two_qubit(rho, DensityOperator).matrix
     return {
-        name: float(np.real(v.conj() @ rho.matrix @ v))
+        name: float(np.real(v.conj() @ m @ v))
         for name, v in _BELL_VECTORS.items()
     }
 
@@ -168,9 +168,7 @@ def teleportation_circuit_channel(resource: DensityOperator) -> QuantumChannel:
     as a channel for every valid resource state (verified via Choi matrices
     in the test suite).
     """
-    if resource.dim != 4:
-        raise DimensionMismatchError(f"expected a 2-qubit resource, got dim {resource.dim}")
-    eigvals, eigvecs = np.linalg.eigh(resource.matrix)
+    eigvals, eigvecs = np.linalg.eigh(check_two_qubit(resource, DensityOperator).matrix)
     keep = eigvals >= NORM_TOL
     chis = eigvecs[:, keep] * np.sqrt(eigvals[keep])  # column e is sqrt(lambda_e) chi_e
     # K_{a,b,e}[x, p] = sum_{out,j} corr_ab[x, out] U[a, b, out, p, j] chi_e[j]

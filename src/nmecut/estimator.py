@@ -95,10 +95,12 @@ RngLike = Union[RandomSource, np.random.Generator]
 
 
 def as_generator(rng: RngLike) -> np.random.Generator:
-    """Materialize a generator; passes plain generators through unchanged."""
+    """A numpy Generator unchanged, a RandomSource's generator; InvalidParameterError for anything else."""
+    if isinstance(rng, np.random.Generator):
+        return rng
     if isinstance(rng, RandomSource):
         return rng.generator()
-    return rng
+    raise InvalidParameterError(f"rng must be a RandomSource or a numpy Generator, got {type(rng).__name__}")
 
 
 def _check_observable(observable: np.ndarray, dim: int | None = None) -> Matrix:

@@ -2,12 +2,15 @@
 
 Everything here is exact double-precision arithmetic on small (at most 8x8)
 matrices.  Qubit ordering convention: the leftmost tensor factor is qubit 0
-and the most significant bit of a computational-basis index.
+and the most significant bit of a computational-basis index.  A state is
+its array: `PureState` and `DensityOperator` read `dim` from its shape, and
+`check_two_qubit` is the one check of a two-qubit state argument.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import TypeVar
 
 import numpy as np
 import numpy.typing as npt
@@ -22,6 +25,7 @@ from .errors import (
 )
 
 Matrix = npt.NDArray[np.complex128]
+State = TypeVar("State")
 
 HERMITIAN_TOL = 1e-10
 UNITARY_TOL = 1e-10
@@ -29,7 +33,7 @@ TRACE_TOL = 1e-10
 POSITIVITY_TOL = 1e-10
 NORM_TOL = 1e-12
 
-VALID_DENSITY_DIMS = (2, 4, 8)
+VALID_DIMS = (2, 4, 8)
 
 # Single-qubit building blocks.
 I2 = np.eye(2, dtype=complex)
@@ -63,7 +67,9 @@ def dagger(a: Matrix) -> Matrix:
 
 
 def check_hermitian(m: Matrix) -> Matrix:
-    """Returns the square `m`; NotHermitianError if max |M - M^dag| > HERMITIAN_TOL."""
+    """Returns `m`; NotHermitianError if it is not square or max |M - M^dag| > HERMITIAN_TOL."""
+    if m.shape[0] != m.shape[1]:
+        raise NotHermitianError(f"a Hermitian matrix must be square, got shape {m.shape}")
     herm = np.abs(m - dagger(m)).max()
     if herm > HERMITIAN_TOL:
         raise NotHermitianError(f"max |M - M^dag| = {herm:.3e} > {HERMITIAN_TOL}")
@@ -86,30 +92,32 @@ def kron(a: npt.ArrayLike, b: npt.ArrayLike) -> Matrix:
     return np.kron(as_matrix(a), as_matrix(b))
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=complex)
-    out.flags.writeable = False
-    return out
+def check_two_qubit(state: object, kind: type[State]) -> State:
+    """Returns `state`; InvalidParameterError unless it is a `kind`, DimensionMismatchError unless its dim is 4."""
+    if not isinstance(state, kind):
+        raise InvalidParameterError(f"expected a {kind.__name__}, got {type(state).__name__}")
+    if state.dim != 4:
+        raise DimensionMismatchError(f"expected a 2-qubit {kind.__name__}, got dim {state.dim}")
+    return state
+
+
+def _qubit_dim(dim: int) -> int:
+    """`dim` if it is the dimension of 1-3 qubits; InvalidParameterError otherwise."""
+    if dim not in VALID_DIMS:
+        raise InvalidParameterError(f"dim must be one of {VALID_DIMS}, got {dim}")
+    return dim
 
 
 @dataclass(frozen=True)
 class DensityOperator:
-    """Positive, Hermitian, unit-trace operator on 1-3 qubits."""
+    """Positive, Hermitian, unit-trace operator on 1-3 qubits; `dim` is read from the matrix."""
 
-    dim: int
     matrix: Matrix
+    dim: int = field(init=False)
 
     def __post_init__(self) -> None:
-        m = as_matrix(self.matrix)
-        if m.shape != (self.dim, self.dim):
-            raise DimensionMismatchError(
-                f"matrix shape {m.shape} does not match dim {self.dim}"
-            )
-        if self.dim not in VALID_DENSITY_DIMS:
-            raise InvalidParameterError(
-                f"dim must be one of {VALID_DENSITY_DIMS}, got {self.dim}"
-            )
-        check_hermitian(m)
+        m = check_hermitian(as_matrix(self.matrix))
+        object.__setattr__(self, "dim", _qubit_dim(m.shape[0]))
         tr = m.trace()
         if abs(tr - 1.0) > TRACE_TOL:
             raise NotUnitTraceError(f"|tr(M) - 1| = {abs(tr - 1.0):.3e} > {TRACE_TOL}")
@@ -117,36 +125,28 @@ class DensityOperator:
         lo = float(np.linalg.eigvalsh(m).min())
         if lo < -POSITIVITY_TOL:
             raise NotPositiveError(f"minimum eigenvalue {lo:.3e} < -{POSITIVITY_TOL}")
-        object.__setattr__(self, "matrix", _freeze(m))
+        m.flags.writeable = False
+        object.__setattr__(self, "matrix", m)
 
 
 @dataclass(frozen=True)
 class PureState:
-    """Unit-norm complex amplitude vector on 1-3 qubits."""
+    """Unit-norm complex amplitude vector on 1-3 qubits; `dim` is read from the vector."""
 
-    dim: int
     amplitudes: npt.NDArray[np.complex128]
+    dim: int = field(init=False)
 
     def __post_init__(self) -> None:
         v = np.array(self.amplitudes, dtype=complex)
-        if v.ndim != 1 or v.shape[0] != self.dim:
-            raise DimensionMismatchError(
-                f"amplitude vector shape {v.shape} does not match dim {self.dim}"
-            )
-        if self.dim & (self.dim - 1) != 0 or self.dim < 2:
-            raise InvalidParameterError(f"dim must be a power of two, got {self.dim}")
+        if v.ndim != 1:
+            raise InvalidParameterError(f"expected a 1-d amplitude vector, got ndim={v.ndim}")
+        object.__setattr__(self, "dim", _qubit_dim(v.shape[0]))
         nrm = float(np.linalg.norm(v))
-        if abs(nrm - 1.0) > NORM_TOL:
+        if not abs(nrm - 1.0) <= NORM_TOL:  # also rejects a NaN norm
             raise InvalidParameterError(f"|norm - 1| = {abs(nrm - 1.0):.3e} > {NORM_TOL}")
         v.flags.writeable = False
         object.__setattr__(self, "amplitudes", v)
 
     def density(self) -> DensityOperator:
         """|psi><psi| as a validated density operator."""
-        return validate_density(np.outer(self.amplitudes, self.amplitudes.conj()))
-
-
-def validate_density(m: npt.ArrayLike) -> DensityOperator:
-    """Validate a raw matrix as a density operator or raise the named violation."""
-    m = as_matrix(m)
-    return DensityOperator(dim=m.shape[0], matrix=m)
+        return DensityOperator(np.outer(self.amplitudes, self.amplitudes.conj()))

@@ -4,7 +4,7 @@ Covers the Bell basis, the one-parameter family of partially entangled pairs
 
     |phi_k> = K (|00> + k |11>),   K = 1 / sqrt(1 + k^2),   k >= 0,
 
-Schmidt decomposition of arbitrary two-qubit pure states, the entanglement
+Schmidt decomposition of any two-qubit `PureState`, the entanglement
 overlap monotone f, and the underlying distillation norm.  The family is
 separable at k = 0 and maximally entangled at k = 1; f interpolates between
 1/2 and 1 accordingly via f = (k+1)^2 / (2 (k^2+1)).
@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidParameterError, OutOfRangeError, _shown
-from .linalg import PAULIS, TRACE_TOL, I2, PureState, kron
+from .linalg import PAULIS, TRACE_TOL, I2, PureState, check_two_qubit, kron
 
 RANGE_TOL = 1e-12
 
@@ -65,14 +65,14 @@ def nme_state(k: float) -> PureState:
         norm = j / math.sqrt(1.0 + j * j)
     else:
         norm = 1.0 / math.sqrt(1.0 + k * k)
-    return PureState(dim=4, amplitudes=norm * np.array([1.0, 0.0, 0.0, k], dtype=complex))
+    return PureState(norm * np.array([1.0, 0.0, 0.0, k], dtype=complex))
 
 
 def bell_state(sigma: str) -> PureState:
     """Bell-basis vector (sigma x I)|phi> for sigma in {I, X, Y, Z}."""
     if sigma not in PAULIS:
         raise InvalidParameterError(f"sigma must be one of {sorted(PAULIS)}, got {sigma!r}")
-    return PureState(dim=4, amplitudes=_BELL_VECTORS[sigma])
+    return PureState(_BELL_VECTORS[sigma])
 
 
 def schmidt_decompose(psi: PureState) -> SchmidtForm:
@@ -83,12 +83,10 @@ def schmidt_decompose(psi: PureState) -> SchmidtForm:
     bases.  For product states the second basis vectors are whatever
     orthonormal completion the SVD returns.
     """
-    if psi.dim != 4:
-        raise InvalidParameterError(f"expected a 2-qubit state, got dim {psi.dim}")
-    m = psi.amplitudes.reshape(2, 2)
+    m = check_two_qubit(psi, PureState).amplitudes.reshape(2, 2)
     u, s, vh = np.linalg.svd(m)
-    left = (PureState(2, u[:, 0]), PureState(2, u[:, 1]))
-    right = (PureState(2, vh[0, :]), PureState(2, vh[1, :]))
+    left = (PureState(u[:, 0]), PureState(u[:, 1]))
+    right = (PureState(vh[0, :]), PureState(vh[1, :]))
     return SchmidtForm(coefficients=(float(s[0]), float(s[1])), left_basis=left, right_basis=right)
 
 
@@ -139,8 +137,8 @@ def overlap_f_pure(psi: PureState) -> float:
 
 
 def _require_real(name: str, value: object) -> numbers.Real:
-    """`value`, with a numpy float as a Python float; InvalidParameterError unless it is one real number."""
-    if not isinstance(value, numbers.Real):
+    """`value`, with a numpy float as a Python float; InvalidParameterError unless it is one real number, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise InvalidParameterError(f"{name} must be a real number, got {_shown(value, repr)}")
     return float(value) if isinstance(value, np.floating) else value
 

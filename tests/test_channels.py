@@ -20,7 +20,7 @@ from nmecut.channels import (
     teleportation_circuit_channel,
     unitary_channel,
 )
-from nmecut.linalg import H, I2, S, X, Y, Z, validate_density
+from nmecut.linalg import H, I2, S, X, Y, Z, DensityOperator
 from nmecut.states import nme_state
 
 
@@ -31,13 +31,13 @@ def identity_choi():
 class TestUnitaryChannel:
     def test_identity(self):
         ch = unitary_channel(I2)
-        rho = validate_density(np.diag([0.25, 0.75]))
+        rho = DensityOperator(np.diag([0.25, 0.75]))
         np.testing.assert_allclose(ch.act(rho.matrix), rho.matrix, atol=1e-15)
 
     def test_hadamard_action(self):
         ch = unitary_channel(H)
         plus = np.full((2, 2), 0.5, dtype=complex)
-        out = ch.act(validate_density(np.diag([1.0, 0.0])).matrix)
+        out = ch.act(DensityOperator(np.diag([1.0, 0.0])).matrix)
         np.testing.assert_allclose(out, plus, atol=1e-15)
 
     def test_basis_change_conjugations(self):
@@ -53,14 +53,14 @@ class TestUnitaryChannel:
 class TestApplyAndChoi:
     def test_dephasing_erases_coherence(self):
         dephasing = QuantumChannel([np.diag([1, 0]).astype(complex), np.diag([0, 1]).astype(complex)])
-        plus = validate_density(np.full((2, 2), 0.5))
+        plus = DensityOperator(np.full((2, 2), 0.5))
         np.testing.assert_allclose(dephasing.act(plus.matrix), I2 / 2, atol=1e-15)
 
     def test_teleportation_with_maximal_resource_is_identity(self):
         rng = np.random.default_rng(17)
         ch = teleportation_channel(nme_state(1.0).density())
         for _ in range(5):
-            rho = validate_density(random_density_matrix(rng, 2))
+            rho = DensityOperator(random_density_matrix(rng, 2))
             np.testing.assert_allclose(ch.act(rho.matrix), rho.matrix, atol=1e-12)
 
     def test_choi_of_identity(self):
@@ -111,7 +111,7 @@ class TestBasisChecks:
             measure_prepare_channel(np.ones((2, 2)))
 
     def test_conjugate_matches_operator_by_operator_product(self):
-        tel = teleportation_channel(validate_density(random_density_matrix(np.random.default_rng(5), 4)))
+        tel = teleportation_channel(DensityOperator(random_density_matrix(np.random.default_rng(5), 4)))
         got = conjugate_channel(S @ H, tel).kraus
         expected = [(S @ H) @ k @ (S @ H).conj().T for k in tel.kraus]
         np.testing.assert_allclose(got, expected, atol=1e-15)
@@ -140,20 +140,20 @@ class TestBellOverlaps:
             assert got[name] == pytest.approx(0.0, abs=1e-12)
 
     def test_maximally_mixed(self):
-        got = bell_overlaps(validate_density(np.eye(4) / 4))
+        got = bell_overlaps(DensityOperator(np.eye(4) / 4))
         for name in "IXYZ":
             assert got[name] == pytest.approx(0.25, abs=1e-14)
 
     def test_sum_to_one_on_random_states(self):
         rng = np.random.default_rng(41)
         for _ in range(100):
-            got = bell_overlaps(validate_density(random_density_matrix(rng, 4)))
+            got = bell_overlaps(DensityOperator(random_density_matrix(rng, 4)))
             assert sum(got.values()) == pytest.approx(1.0, abs=1e-12)
             assert all(v >= -1e-12 for v in got.values())
 
     def test_requires_two_qubits(self):
         with pytest.raises(DimensionMismatchError):
-            bell_overlaps(validate_density(I2 / 2))
+            bell_overlaps(DensityOperator(I2 / 2))
 
 
 class TestTeleportationChannel:
@@ -180,7 +180,7 @@ class TestTeleportationChannel:
 class TestTeleportationCircuit:
     def test_exact_teleportation_of_plus_state(self):
         ch = teleportation_circuit_channel(nme_state(1.0).density())
-        plus = validate_density(np.full((2, 2), 0.5))
+        plus = DensityOperator(np.full((2, 2), 0.5))
         np.testing.assert_allclose(ch.act(plus.matrix), plus.matrix, atol=1e-12)
 
     def test_matches_analytic_form_half_entangled(self):
@@ -194,7 +194,7 @@ class TestTeleportationCircuit:
     def test_matches_analytic_form_on_family_and_mixed(self):
         rng = np.random.default_rng(53)
         resources = [nme_state(k).density() for k in np.linspace(0.0, 1.0, 11)]
-        resources += [validate_density(random_density_matrix(rng, 4)) for _ in range(20)]
+        resources += [DensityOperator(random_density_matrix(rng, 4)) for _ in range(20)]
         for resource in resources:
             deviation = np.abs(
                 teleportation_circuit_channel(resource).choi
@@ -207,7 +207,7 @@ class TestTeleportationCircuit:
         # above would not see a reordering or a per-operator phase.
         rng = np.random.default_rng(53)
         resources = [nme_state(k).density() for k in np.linspace(0.0, 1.0, 11)]
-        resources += [validate_density(random_density_matrix(rng, 4)) for _ in range(20)]
+        resources += [DensityOperator(random_density_matrix(rng, 4)) for _ in range(20)]
         for resource in resources:
             got = teleportation_circuit_channel(resource).kraus
             expected = teleportation_circuit_kraus(resource.matrix)
@@ -227,9 +227,9 @@ class TestTeleportationCircuit:
 class TestMeasurePrepareChannels:
     def test_flip_on_basis_states(self):
         ch = measure_prepare_flip_channel()
-        out0 = ch.act(validate_density(np.diag([1.0, 0.0])).matrix)
+        out0 = ch.act(DensityOperator(np.diag([1.0, 0.0])).matrix)
         np.testing.assert_allclose(out0, np.diag([0.0, 1.0]), atol=1e-15)
-        out1 = ch.act(validate_density(np.diag([0.0, 1.0])).matrix)
+        out1 = ch.act(DensityOperator(np.diag([0.0, 1.0])).matrix)
         np.testing.assert_allclose(out1, np.diag([1.0, 0.0]), atol=1e-15)
 
     def test_flip_on_plus_state(self):
@@ -238,7 +238,7 @@ class TestMeasurePrepareChannels:
         e1 = np.diag([0.0, 1.0]).astype(complex)
         expected = 0.5 * (X @ e0 @ X + X @ e1 @ X)
         np.testing.assert_allclose(expected, I2 / 2, atol=1e-15)
-        out = measure_prepare_flip_channel().act(validate_density(np.full((2, 2), 0.5)).matrix)
+        out = measure_prepare_flip_channel().act(DensityOperator(np.full((2, 2), 0.5)).matrix)
         np.testing.assert_allclose(out, expected, atol=1e-15)
 
     def test_xy_mixture_equals_measure_flip(self):
@@ -249,9 +249,9 @@ class TestMeasurePrepareChannels:
 
     def test_measure_prepare_in_rotated_basis(self):
         ch = measure_prepare_channel(H)
-        plus = validate_density(np.full((2, 2), 0.5))
+        plus = DensityOperator(np.full((2, 2), 0.5))
         np.testing.assert_allclose(ch.act(plus.matrix), plus.matrix, atol=1e-15)
-        zero = validate_density(np.diag([1.0, 0.0]))
+        zero = DensityOperator(np.diag([1.0, 0.0]))
         np.testing.assert_allclose(ch.act(zero.matrix), I2 / 2, atol=1e-15)
 
 
@@ -312,7 +312,7 @@ def test_all_constructed_channels_trace_preserving():
         measure_prepare_flip_channel(),
         teleportation_channel(nme_state(0.37).density()),
         teleportation_circuit_channel(nme_state(0.37).density()),
-        teleportation_channel(validate_density(random_density_matrix(rng, 4))),
+        teleportation_channel(DensityOperator(random_density_matrix(rng, 4))),
         conjugate_channel(H, teleportation_channel(nme_state(0.5).density())),
     ]
     for ch in channels:

@@ -39,12 +39,12 @@ from nmecut.estimator import (
     exact_expectation,
 )
 from nmecut.experiment import _haar_unitaries, haar_random_unitary
-from nmecut.linalg import H, I2, X, Z, validate_density
+from nmecut.linalg import H, I2, X, Z, DensityOperator
 from nmecut.qpd import QpdTerm, QuasiProbDecomposition, harada_wire_cut, nme_wire_cut
 from nmecut.states import nme_state
 
-ZERO = validate_density(np.diag([1.0, 0.0]))
-PLUS = validate_density(np.full((2, 2), 0.5))
+ZERO = DensityOperator(np.diag([1.0, 0.0]))
+PLUS = DensityOperator(np.full((2, 2), 0.5))
 ROTATION = haar_random_unitary(RandomSource(5, 0))
 GOLDEN_ESTIMATES = Path(__file__).parent / "data" / "golden_estimates.csv"
 
@@ -91,6 +91,16 @@ class TestRandomSource:
         for seed, stream_id in ((1.5, 0), (True, 0), (False, 0), (0, True)):
             with pytest.raises(InvalidParameterError):
                 RandomSource(seed, stream_id)
+
+    @pytest.mark.parametrize("rng", [5, None, np.random.Philox(5)], ids=["int", "none", "bit-generator"])
+    @pytest.mark.parametrize(
+        "draw",
+        [lambda rng: estimate_cut_expectation(nme_wire_cut(0.5), I2, Z, 10, rng), haar_random_unitary],
+        ids=["estimate_cut_expectation", "haar_random_unitary"],
+    )
+    def test_rng_that_is_not_a_generator_is_a_named_error(self, draw, rng):
+        with pytest.raises(InvalidParameterError, match=f"RandomSource or a numpy Generator, got {type(rng).__name__}"):
+            draw(rng)
 
     @settings(max_examples=60, deadline=None)
     @given(

@@ -6,7 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nmecut
-from nmecut.channels import unitary_channel
+from nmecut.channels import (
+    bell_overlaps,
+    teleportation_channel,
+    teleportation_circuit_channel,
+    unitary_channel,
+)
 from nmecut.errors import (
     DimensionMismatchError,
     InvalidParameterError,
@@ -24,9 +29,10 @@ from nmecut.linalg import (
     PureState,
     as_matrix,
     as_unitary,
+    check_hermitian,
     kron,
-    validate_density,
 )
+from nmecut.states import overlap_f_pure, schmidt_decompose
 
 
 def small_complex_matrices(rows, cols):
@@ -93,33 +99,33 @@ def test_non_square_unitary_is_a_named_error(check, shape):
 
 class TestValidateDensity:
     def test_maximally_mixed_ok(self):
-        rho = validate_density(I2 / 2)
+        rho = DensityOperator(I2 / 2)
         assert rho.dim == 2
 
     def test_negative_eigenvalue_rejected(self):
         with pytest.raises(NotPositiveError) as excinfo:
-            validate_density(np.diag([1.2, -0.2]))
+            DensityOperator(np.diag([1.2, -0.2]))
         assert "-2" in str(excinfo.value)  # residual magnitude appears in message
 
     def test_traceless_pauli_rejected(self):
         with pytest.raises(NotUnitTraceError):
-            validate_density(X)
+            DensityOperator(X)
 
     def test_non_hermitian_rejected(self):
         m = np.array([[0.5, 0.3], [0.0, 0.5]], dtype=complex)
         with pytest.raises(NotHermitianError):
-            validate_density(m)
+            DensityOperator(m)
 
     def test_odd_dimension_rejected(self):
         with pytest.raises(InvalidParameterError):
-            validate_density(np.eye(3) / 3)
+            DensityOperator(np.eye(3) / 3)
 
     def test_too_large_dimension_rejected(self):
         with pytest.raises(InvalidParameterError):
-            validate_density(np.eye(16) / 16)
+            DensityOperator(np.eye(16) / 16)
 
     def test_matrix_is_immutable(self):
-        rho = validate_density(I2 / 2)
+        rho = DensityOperator(I2 / 2)
         with pytest.raises(ValueError):
             rho.matrix[0, 0] = 9.0
 
@@ -127,13 +133,50 @@ class TestValidateDensity:
 class TestPureState:
     def test_norm_enforced(self):
         with pytest.raises(InvalidParameterError):
-            PureState(dim=2, amplitudes=np.array([1.0, 1.0]))
+            PureState(np.array([1.0, 1.0]))
 
     def test_density_round_trip(self):
-        psi = PureState(dim=2, amplitudes=np.array([3 / 5, 4j / 5]))
+        psi = PureState(np.array([3 / 5, 4j / 5]))
         rho = psi.density()
         np.testing.assert_allclose(rho.matrix, np.outer(psi.amplitudes, psi.amplitudes.conj()))
 
-    def test_dim_must_match(self):
-        with pytest.raises(DimensionMismatchError):
-            PureState(dim=4, amplitudes=np.array([1.0, 0.0]))
+    def test_sixteen_levels_rejected(self):
+        # The rule DensityOperator applies: a 16-level state is not 1-3 qubits.
+        with pytest.raises(InvalidParameterError, match=r"dim must be one of \(2, 4, 8\), got 16"):
+            PureState(np.eye(16)[0])
+
+    def test_nan_amplitude_rejected(self):
+        with pytest.raises(InvalidParameterError, match="norm"):
+            PureState(np.array([np.nan, 0.0]))
+
+
+def test_dim_is_read_from_the_array():
+    assert PureState(np.array([1.0, 0.0, 0.0, 0.0])).dim == 4
+    assert DensityOperator(np.eye(8) / 8).dim == 8
+    with pytest.raises(TypeError):
+        PureState(dim=2, amplitudes=np.array([1.0, 0.0]))
+    with pytest.raises(TypeError):
+        DensityOperator(dim=2, matrix=I2 / 2)
+
+
+@pytest.mark.parametrize("check", [check_hermitian, DensityOperator], ids=["check_hermitian", "DensityOperator"])
+def test_non_square_hermitian_is_a_named_error(check):
+    with pytest.raises(NotHermitianError, match=r"square, got shape \(2, 3\)"):
+        check(np.ones((2, 3)) / 2)
+
+
+TWO_QUBIT_PURE = [schmidt_decompose, overlap_f_pure]
+TWO_QUBIT_MIXED = [bell_overlaps, teleportation_channel, teleportation_circuit_channel]
+
+
+@pytest.mark.parametrize("function", TWO_QUBIT_PURE + TWO_QUBIT_MIXED, ids=lambda fn: fn.__name__)
+def test_two_qubit_argument_is_checked(function):
+    kind, raw, one_qubit = (
+        (PureState, np.eye(4)[0], PureState(np.array([1.0, 0.0])))
+        if function in TWO_QUBIT_PURE
+        else (DensityOperator, np.eye(4) / 4, DensityOperator(I2 / 2))
+    )
+    with pytest.raises(InvalidParameterError, match=f"expected a {kind.__name__}, got ndarray"):
+        function(raw)
+    with pytest.raises(DimensionMismatchError, match="expected a 2-qubit .*, got dim 2"):
+        function(one_qubit)

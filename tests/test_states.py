@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from helpers import hurwitz_unitary, random_pure_vector
 from nmecut.errors import InvalidParameterError, OutOfRangeError
 from nmecut.linalg import H, I2, PureState, kron
-from nmecut.qpd import nme_wire_cut
+from nmecut.channels import unitary_channel
+from nmecut.qpd import QpdTerm, nme_wire_cut
 from nmecut.states import (
     bell_state,
     checked_k,
@@ -87,7 +88,7 @@ class TestSchmidtDecompose:
         assert form.k == pytest.approx(1.0, abs=1e-12)
 
     def test_product_state(self):
-        psi = PureState(dim=4, amplitudes=np.array([0, 1, 0, 0], dtype=complex))  # |01>
+        psi = PureState(np.array([0, 1, 0, 0], dtype=complex))  # |01>
         form = schmidt_decompose(psi)
         np.testing.assert_allclose(form.coefficients, [1.0, 0.0], atol=1e-12)
         assert form.k == pytest.approx(0.0, abs=1e-12)
@@ -96,7 +97,7 @@ class TestSchmidtDecompose:
         # Oracle: Schmidt coefficients are the singular values of the 2x2
         # amplitude matrix, invariant under one-sided unitaries.
         psi = nme_state(0.5)
-        rotated = PureState(dim=4, amplitudes=kron(H, I2) @ psi.amplitudes)
+        rotated = PureState(kron(H, I2) @ psi.amplitudes)
         form = schmidt_decompose(rotated)
         np.testing.assert_allclose(form.coefficients, [2 / SQRT5, 1 / SQRT5], atol=1e-12)
         assert form.k == pytest.approx(0.5, abs=1e-12)
@@ -104,7 +105,7 @@ class TestSchmidtDecompose:
     def test_reconstruction_and_orthonormality_random(self):
         rng = np.random.default_rng(21)
         for _ in range(25):
-            psi = PureState(dim=4, amplitudes=random_pure_vector(rng, 4))
+            psi = PureState(random_pure_vector(rng, 4))
             form = schmidt_decompose(psi)
             p0, p1 = form.coefficients
             assert p0 >= p1 >= 0
@@ -117,7 +118,7 @@ class TestSchmidtDecompose:
         # Independent oracle: squared coefficients are the eigenvalues of the
         # reduced density operator.
         rng = np.random.default_rng(8)
-        psi = PureState(dim=4, amplitudes=random_pure_vector(rng, 4))
+        psi = PureState(random_pure_vector(rng, 4))
         form = schmidt_decompose(psi)
         m = psi.amplitudes.reshape(2, 2)
         eigs = np.sort(np.linalg.eigvalsh(m @ m.conj().T))[::-1]
@@ -210,7 +211,7 @@ class TestOverlapF:
             k = rng.uniform(0.0, 1.0)
             psi = nme_state(k)
             u = kron(hurwitz_unitary(rng), hurwitz_unitary(rng))
-            rotated = PureState(dim=4, amplitudes=u @ psi.amplitudes)
+            rotated = PureState(u @ psi.amplitudes)
             assert overlap_f_pure(rotated) == pytest.approx(
                 overlap_f_pure(psi), abs=1e-10
             )
@@ -275,6 +276,17 @@ class TestScalarChecks:
         # Comparing these raises TypeError or ValueError, or passes and leaves
         # float() to fail (one-element array) or drop the imaginary part.
         with pytest.raises(InvalidParameterError, match=r"must be a real number, got "):
+            function(value)
+
+    @pytest.mark.parametrize("value", [True, False])
+    @pytest.mark.parametrize(
+        "function",
+        [checked_k, checked_overlap, nme_wire_cut, lambda c: QpdTerm(c, unitary_channel(I2))],
+        ids=["checked_k", "checked_overlap", "nme_wire_cut", "QpdTerm"],
+    )
+    def test_bool_is_not_a_real_number(self, function, value):
+        # bool subclasses int, so True would otherwise pass as 1.
+        with pytest.raises(InvalidParameterError, match=rf"must be a real number, got {value}"):
             function(value)
 
     @pytest.mark.parametrize("kind", [np.float16, np.float32, np.float64, np.int8, np.int64, np.uint64])
