@@ -10,7 +10,6 @@ identical keys reproduce identical draws across runs and platforms.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -21,13 +20,13 @@ from .errors import (
     InvalidObservableError,
     InvalidParameterError,
     InvalidProbabilityError,
-    NotUnitTraceError,
     OutOfRangeError,
     ZeroShotsError,
     _shown,
 )
-from .linalg import TRACE_TOL, Matrix, as_matrix, as_unitary, check_hermitian, dagger
+from .linalg import Matrix, as_matrix, as_unitary, check_hermitian, dagger
 from .qpd import QuasiProbDecomposition
+from .states import _integer
 
 OBSERVABLE_TOL = 1e-10
 PROBABILITY_TOL = 1e-10
@@ -39,16 +38,6 @@ MAX_SHOTS = 1 << 48  # far enough below 2**53 that allocate_shots' float64 split
 # Two 64-bit words key a Philox stream; counter and buffer start empty.
 _KEY_LIMIT = 1 << 64
 _ZERO_WORDS = (0, 0, 0, 0)
-
-
-def _integer(name: str, value: object) -> int:
-    """`value` as a plain int; InvalidParameterError unless it is an integer other than a bool."""
-    try:
-        if isinstance(value, bool):  # operator.index(True) is 1
-            raise TypeError
-        return operator.index(value)
-    except TypeError:
-        raise InvalidParameterError(f"{name} must be an integer, got {_shown(value, repr)}") from None
 
 
 def _rekey(gen: np.random.Generator, seed: int, stream_id: int) -> np.random.Generator:
@@ -103,19 +92,18 @@ def as_generator(rng: RngLike) -> np.random.Generator:
     raise InvalidParameterError(f"rng must be a RandomSource or a numpy Generator, got {type(rng).__name__}")
 
 
-def _check_observable(observable: np.ndarray, dim: int | None = None) -> Matrix:
-    """Coerce O and require it square, Hermitian and, if given, acting on `dim` levels."""
+def _check_observable(observable: np.ndarray, dim: int) -> Matrix:
+    """Coerce O and require it Hermitian on `dim` levels."""
     obs = as_matrix(observable)
-    dim = obs.shape[0] if dim is None else dim
     if obs.shape != (dim, dim):
         raise DimensionMismatchError(f"observable shape {obs.shape} is not ({dim}, {dim})")
     return check_hermitian(obs)
 
 
-def _pm_one_observable(observable: np.ndarray, dim: int | None = None) -> Matrix:
-    """Checks O once for sampling: square, Hermitian and O^2 = I (eigenvalues all +/-1), on `dim` levels if given."""
+def _pm_one_observable(observable: np.ndarray, dim: int) -> Matrix:
+    """Checks O once for sampling: Hermitian on `dim` levels and O^2 = I (eigenvalues all +/-1)."""
     obs = _check_observable(observable, dim)
-    residual = np.abs(obs @ obs - np.eye(obs.shape[0])).max()
+    residual = np.abs(obs @ obs - np.eye(dim)).max()
     if residual > OBSERVABLE_TOL:
         raise InvalidObservableError(f"max |O^2 - I| = {residual:.3e} > {OBSERVABLE_TOL}: eigenvalues not all +/-1")
     return obs
@@ -159,7 +147,7 @@ def allocate_shots(qpd: QuasiProbDecomposition, total: int) -> tuple[int, ...]:
     return tuple(int(c) for c in counts)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Budget:
     """What one estimate needs of (decomposition, total shots, mode), whatever the preparation."""
 
@@ -185,18 +173,12 @@ def _budget(qpd: QuasiProbDecomposition, total_shots: int, mode: str) -> _Budget
 
 
 def _plus_probabilities(qpd: QuasiProbDecomposition, columns: np.ndarray, obs: Matrix) -> np.ndarray:
-    """(n, terms) +1 probabilities in [0, 1] for an (n, dim) stack of rows W|0>, each checked for dim and norm.
+    """(n, terms) +1 probabilities in [0, 1] for an (n, dim) stack of rows W|0>, checked by the caller.
 
+    The rows must be unit vectors on `qpd.dim` levels and O a +/-1 observable.
     Term i's probability is (1 + <psi|E_i|psi>) / 2, with E_i = sum_K K^dag O K
     the observable in the Heisenberg picture of its channel, built once per call.
     """
-    if columns.shape[1] != qpd.dim:
-        raise DimensionMismatchError(f"state dim {columns.shape[1]} does not match the channels' dim {qpd.dim}")
-    norm_error = np.abs(np.einsum("ni,ni->n", columns.conj(), columns) - 1.0)
-    if np.any(norm_error > TRACE_TOL):
-        row = int(np.argmax(norm_error > TRACE_TOL))
-        raise NotUnitTraceError(f"row {row}: |<0|W^dag W|0> - 1| = {norm_error[row]:.3e} > {TRACE_TOL}")
-
     effects = np.stack([(dagger(t.channel.kraus) @ obs @ t.channel.kraus).sum(axis=0) for t in qpd.terms])
     p_plus = 0.5 * (1.0 + np.real(np.einsum("ni,tij,nj->nt", columns.conj(), effects, columns)))
     bad = ((p_plus < -PROBABILITY_TOL) | (p_plus > 1.0 + PROBABILITY_TOL)).any(axis=1)
@@ -229,10 +211,11 @@ def estimate_cut_expectation(
     rng: RngLike,
     mode: str = "stratified",
 ) -> float:
-    """Signed recombination of finite-shot branch estimates.
+    """Signed recombination of finite-shot branch estimates for the state W|0>.
 
-    Each branch's +1 count is drawn from Binomial(shots_i, p_i) with the exact
-    probability p_i of measuring +1 after its channel.
+    W is checked as `exact_expectation` checks it, after the budget and O and
+    before `rng`.  Each branch's +1 count is drawn from Binomial(shots_i, p_i)
+    with the exact probability p_i of measuring +1 after its channel.
     stratified: the budget is split proportionally to the coefficients and
     each branch is sampled with its share; the estimate is sum_i c_i est_i.
     multinomial: every shot first draws a term index with probability p_i,
@@ -241,5 +224,9 @@ def estimate_cut_expectation(
     whenever the decomposition reconstructs the identity.
     """
     budget = _budget(qpd, total_shots, mode)
-    p_plus = _plus_probabilities(qpd, as_matrix(prep)[None, :, 0], _pm_one_observable(observable, qpd.dim))
+    obs = _pm_one_observable(observable, qpd.dim)
+    w = as_unitary(prep)
+    if w.shape[0] != qpd.dim:
+        raise DimensionMismatchError(f"state dim {w.shape[0]} does not match the channels' dim {qpd.dim}")
+    p_plus = _plus_probabilities(qpd, w[None, :, 0], obs)
     return _draw_estimate(budget, p_plus[0].tolist(), as_generator(rng))

@@ -28,11 +28,10 @@ import numpy as np
 
 from .errors import InvalidParameterError, NmecutError, _shown
 from .estimator import MODES, RandomSource, RngLike, as_generator
-from .estimator import _budget, _draw_estimate, _expectation, _integer
-from .estimator import _plus_probabilities, _pm_one_observable, _rekey
+from .estimator import _budget, _draw_estimate, _expectation, _plus_probabilities, _rekey
 from .linalg import Z
 from .qpd import nme_wire_cut
-from .states import checked_overlap, k_from_f
+from .states import _integer, checked_overlap, k_from_f
 
 DEFAULT_F_VALUES = (0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
 DEFAULT_SHOT_GRID = tuple(range(250, 5001, 250))
@@ -162,7 +161,6 @@ def run_sweep(config: ExperimentConfig) -> list[ExperimentRecord]:
     array, and the states of an f share one Haar QR and one probability table.
     """
     gen = RandomSource(config.seed).generator()
-    obs = _pm_one_observable(Z)
 
     def preparations(fi: int) -> tuple[np.ndarray, list[float]]:
         """W|0> rows as an (n, 2) stack, and <0|W^dag Z W|0> for every state of the f-index `fi`."""
@@ -170,7 +168,7 @@ def run_sweep(config: ExperimentConfig) -> list[ExperimentRecord]:
         for si in range(config.n_states):
             _rekey(gen, config.seed, _w_stream(config, fi, si)).standard_normal(out=normals[si])
         columns = _haar_unitaries(normals)[:, :, 0]
-        return columns, [_expectation(column, obs) for column in columns]
+        return columns, [_expectation(column, Z) for column in columns]
 
     # Paired preparations use the same streams for every f.
     shared = preparations(0) if config.paired else None
@@ -179,7 +177,7 @@ def run_sweep(config: ExperimentConfig) -> list[ExperimentRecord]:
         k = k_from_f(f)
         decomposition = nme_wire_cut(k)
         columns, exact = shared if shared is not None else preparations(fi)
-        p_plus = _plus_probabilities(decomposition, columns, obs).tolist()
+        p_plus = _plus_probabilities(decomposition, columns, Z).tolist()
         for ji, shots in enumerate(config.shot_grid):
             budget = _budget(decomposition, shots, config.mode)
             errors = np.empty(config.n_states)
@@ -331,14 +329,14 @@ _MARGIN_BOTTOM = 55
 def render_svg(records: Sequence[ExperimentRecord], path: str) -> None:
     """Log-y line chart of avg_error vs shots, one series per f value.
 
-    Points with nonpositive error cannot be placed on the log axis and are
-    skipped; a series reduced to a single point is drawn as a marker only.
+    Points with a nonpositive or non-finite error cannot be placed on the log
+    axis and are skipped; a series reduced to a single point is drawn as a marker only.
     """
     if not records:
         raise InvalidParameterError("cannot render an empty record list")
     series = _series_by_f(records)
     points = {
-        f: [(r.shots, r.avg_error) for r in rows if r.avg_error > 0]
+        f: [(r.shots, r.avg_error) for r in rows if math.isfinite(r.avg_error) and r.avg_error > 0]
         for f, rows in series.items()
     }
     all_points = [p for pts in points.values() for p in pts]

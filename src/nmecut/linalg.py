@@ -108,7 +108,7 @@ def _qubit_dim(dim: int) -> int:
     return dim
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityOperator:
     """Positive, Hermitian, unit-trace operator on 1-3 qubits; `dim` is read from the matrix."""
 
@@ -129,7 +129,7 @@ class DensityOperator:
         object.__setattr__(self, "matrix", m)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PureState:
     """Unit-norm complex amplitude vector on 1-3 qubits; `dim` is read from the vector."""
 

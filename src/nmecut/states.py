@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 import sys
 from dataclasses import dataclass
 from typing import Sequence
@@ -30,7 +31,7 @@ _PHI = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / np.sqrt(2.0)
 _BELL_VECTORS = {name: kron(sigma, I2) @ _PHI for name, sigma in PAULIS.items()}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SchmidtForm:
     """Schmidt data of a two-qubit pure state.
 
@@ -102,10 +103,13 @@ def m_distillation_norm(coeffs: Sequence[float], m: int) -> float:
     states with m = 2 this reduces to the plain coefficient sum.
     """
     c = np.asarray(coeffs, dtype=float)
+    m = _integer("m", m)
     if m < 1:
-        raise InvalidParameterError(f"m must be >= 1, got {m}")
+        raise InvalidParameterError(f"m must be >= 1, got {_shown(m)}")
     if c.ndim != 1 or c.size == 0:
         raise InvalidParameterError("coefficients must be a nonempty 1-d sequence")
+    if not np.isfinite(c).all():
+        raise InvalidParameterError("coefficients must be finite")
     if np.any(c < -RANGE_TOL):
         raise InvalidParameterError("coefficients must be nonnegative")
     if np.any(np.diff(c) > RANGE_TOL):
@@ -141,6 +145,16 @@ def _require_real(name: str, value: object) -> numbers.Real:
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise InvalidParameterError(f"{name} must be a real number, got {_shown(value, repr)}")
     return float(value) if isinstance(value, np.floating) else value
+
+
+def _integer(name: str, value: object) -> int:
+    """`value` as a plain int; InvalidParameterError unless it is an integer other than a bool."""
+    try:
+        if isinstance(value, bool):  # operator.index(True) is 1
+            raise TypeError
+        return operator.index(value)
+    except TypeError:
+        raise InvalidParameterError(f"{name} must be an integer, got {_shown(value, repr)}") from None
 
 
 # Both checks compare before converting an integer: float() of one beyond the

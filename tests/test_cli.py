@@ -357,6 +357,17 @@ class TestPlot:
         assert "all checks passed" not in out
         assert err.count("check failed") >= 6
 
+    @pytest.mark.parametrize("check", [False, True], ids=["plot", "plot-assert"])
+    def test_infinite_error_is_skipped_by_the_chart_and_flagged_by_the_check(self, tmp_path, capsys, check):
+        inf_csv = tmp_path / "inf.csv"
+        inf_csv.write_text("f,k,shots,avg_error,std_error,n_states\n0.5,0.0,10,inf,0.1,5\n")
+        svg = tmp_path / "inf.svg"
+        code, _, err = run_cli(["plot", "--in", str(inf_csv), "--out", str(svg)] + ["--assert"] * check, capsys)
+        assert code == (1 if check else 0)
+        assert "Traceback" not in err
+        assert svg.exists()
+        assert ("avg_error inf is not a positive finite number" in err) == check
+
     def test_non_utf8_csv_exits_two(self, tmp_path, capsys):
         bad = tmp_path / "latin1.csv"
         bad.write_bytes("f,k,shots,avg_error,std_error,n_states\n0.5,0,250,0.1,0.01,10 é\n".encode("latin-1"))

@@ -16,7 +16,6 @@ from nmecut.errors import (
     InvalidProbabilityError,
     NotHermitianError,
     NotUnitaryError,
-    NotUnitTraceError,
     OutOfRangeError,
     ZeroShotsError,
 )
@@ -358,7 +357,7 @@ class TestEstimateCutExpectation:
     @pytest.mark.parametrize(
         "prep, observable, error",
         [
-            (2.0 * I2, Z, NotUnitTraceError),
+            (2.0 * I2, Z, NotUnitaryError),
             (np.array([[np.nan, 0.0], [0.0, 1.0]]), Z, InvalidParameterError),
             (np.eye(4), Z, DimensionMismatchError),
             (np.eye(4), np.kron(Z, Z), DimensionMismatchError),
@@ -370,6 +369,33 @@ class TestEstimateCutExpectation:
             estimate_cut_expectation(
                 nme_wire_cut(0.5), prep, observable, 10, RandomSource(0, 0), mode=mode
             )
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda prep: exact_expectation(prep, Z),
+        lambda prep: estimate_cut_expectation(nme_wire_cut(0.5), prep, Z, 10, RandomSource(1)),
+        lambda prep: estimate_cut_expectation(nme_wire_cut(0.5), prep, Z, 10, RandomSource(1), mode="multinomial"),
+    ],
+    ids=["exact_expectation", "stratified", "multinomial"],
+)
+@pytest.mark.parametrize(
+    "prep, error",
+    [
+        (np.array([[1.0, 5.0], [0.0, 0.0]]), NotUnitaryError),
+        (np.array([[1.0], [0.0]]), NotUnitaryError),
+        (np.eye(2, 3), NotUnitaryError),
+        (2.0 * I2, NotUnitaryError),
+        (np.array([[np.nan, 0.0], [0.0, 1.0]]), InvalidParameterError),
+        (np.eye(4), DimensionMismatchError),
+    ],
+    ids=["unit-first-column", "one-column", "two-by-three", "twice-identity", "nan", "four-by-four"],
+)
+def test_sampler_and_oracle_share_one_preparation_contract(call, prep, error):
+    # The sampler reads only W|0>, but it accepts exactly the W the exact oracle accepts.
+    with pytest.raises(error):
+        call(prep)
 
 
 def sweep_rows(seed, n):
@@ -426,12 +452,6 @@ class TestPlusProbabilities:
         rho = columns[:, :, None] * columns.conj()[:, None, :]
         values = np.stack([np.real(np.trace(obs @ ch.act(rho), axis1=1, axis2=2)) for ch in channels], axis=1)
         assert np.abs(table - 0.5 * (1.0 + values)).max() <= 1e-12
-
-    def test_unnormalized_row_is_named(self):
-        rows = np.full((5, 2), 1.0 / math.sqrt(2.0), dtype=complex)
-        rows[3] = [2.0, 0.0]
-        with pytest.raises(NotUnitTraceError, match=r"^row 3: \|<0\|W\^dag W\|0> - 1\| = 3\.000e\+00 > "):
-            _plus_probabilities(nme_wire_cut(0.5), rows, Z)
 
     @pytest.mark.parametrize(
         "observable",

@@ -159,6 +159,23 @@ def test_dim_is_read_from_the_array():
         DensityOperator(dim=2, matrix=I2 / 2)
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: PureState(np.array([1.0, 0.0])),
+        lambda: DensityOperator(I2 / 2),
+        lambda: schmidt_decompose(PureState(np.eye(4)[0])),
+    ],
+    ids=["PureState", "DensityOperator", "SchmidtForm"],
+)
+def test_states_compare_and_hash_by_identity(make):
+    # Array fields make field-wise == ambiguous; equal arrays are still two states.
+    a, b = make(), make()
+    assert a == a
+    assert a != b
+    assert len({a, b, a}) == 2
+
+
 @pytest.mark.parametrize("check", [check_hermitian, DensityOperator], ids=["check_hermitian", "DensityOperator"])
 def test_non_square_hermitian_is_a_named_error(check):
     with pytest.raises(NotHermitianError, match=r"square, got shape \(2, 3\)"):

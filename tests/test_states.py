@@ -173,6 +173,23 @@ class TestMDistillationNorm:
         with pytest.raises(InvalidParameterError):
             m_distillation_norm((1.0, 0.0), 0)
 
+    @pytest.mark.parametrize(
+        "coeffs, m, message",
+        [
+            ((1.0, 0.0), 2.5, "m must be an integer, got 2.5"),
+            ((1.0, 0.0), "2", "m must be an integer, got '2'"),
+            ((1.0, 0.0), None, "m must be an integer, got None"),
+            ((1.0, 0.0), True, "m must be an integer, got True"),
+            ((np.nan, 0.0), 2, "coefficients must be finite"),
+            ((1.0, np.nan), 2, "coefficients must be finite"),
+            ((np.inf, 0.0), 2, "coefficients must be finite"),
+        ],
+        ids=["float-m", "string-m", "none-m", "bool-m", "nan-head", "nan-tail", "inf"],
+    )
+    def test_rejects_malformed_input(self, coeffs, m, message):
+        with pytest.raises(InvalidParameterError, match=message):
+            m_distillation_norm(coeffs, m)
+
 
 class TestOverlapF:
     def test_endpoints(self):
