@@ -12,8 +12,8 @@ witness used throughout the tests.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from functools import cached_property
-from typing import Iterable
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from .linalg import (
     Z,
     DensityOperator,
     Matrix,
+    as_matrix,
     as_unitary,
     check_two_qubit,
     dagger,
@@ -54,17 +55,15 @@ class QuantumChannel:
     """
 
     def __init__(self, kraus: Iterable[np.ndarray], name: str = "") -> None:
-        ops = list(kraus)
+        if not isinstance(kraus, Iterable):
+            raise InvalidParameterError(f"expected an iterable of Kraus operators, got {type(kraus).__name__}")
+        ops = [as_matrix(op, name="Kraus operator") for op in kraus]
         if not ops:
             raise InvalidParameterError("a channel needs at least one Kraus operator")
-        shapes = set(map(np.shape, ops))
-        if any(len(shape) != 2 for shape in shapes):
-            raise InvalidParameterError(f"Kraus operators must be 2-d matrices, got shapes {sorted(shapes)}")
+        shapes = {op.shape for op in ops}
         if len(shapes) > 1:
             raise DimensionMismatchError(f"inconsistent Kraus shapes: {sorted(shapes)}")
-        stack = np.array(ops, dtype=complex)
-        if not np.isfinite(stack).all():  # a complex entry is finite only if both parts are
-            raise InvalidParameterError("Kraus operators contain non-finite entries")
+        stack = np.array(ops)
         _, out_dim, in_dim = stack.shape
         total = np.einsum("kji,kjl->il", stack.conj(), stack)
         residual = np.abs(total - np.eye(in_dim)).max()

@@ -20,13 +20,11 @@ from .errors import (
     InvalidObservableError,
     InvalidParameterError,
     InvalidProbabilityError,
-    OutOfRangeError,
     ZeroShotsError,
     _shown,
 )
-from .linalg import Matrix, as_matrix, as_unitary, check_hermitian, dagger
+from .linalg import Matrix, _instance, _integer, as_matrix, as_unitary, check_hermitian, dagger
 from .qpd import QuasiProbDecomposition
-from .states import _integer
 
 OBSERVABLE_TOL = 1e-10
 PROBABILITY_TOL = 1e-10
@@ -36,7 +34,7 @@ MAX_SHOTS = 1 << 48  # far enough below 2**53 that allocate_shots' float64 split
 
 
 # Two 64-bit words key a Philox stream; counter and buffer start empty.
-_KEY_LIMIT = 1 << 64
+_KEY_MAX = (1 << 64) - 1
 _ZERO_WORDS = (0, 0, 0, 0)
 
 
@@ -70,11 +68,7 @@ class RandomSource:
 
     def __post_init__(self) -> None:
         for name in ("seed", "stream_id"):
-            value = getattr(self, name)
-            key = _integer(name, value)
-            if not 0 <= key < _KEY_LIMIT:
-                raise OutOfRangeError(f"{name} must lie in [0, 2**64), got {_shown(value)}")
-            object.__setattr__(self, name, key)
+            object.__setattr__(self, name, _integer(name, getattr(self, name), lo=0, hi=_KEY_MAX))
 
     def generator(self) -> np.random.Generator:
         return _rekey(np.random.Generator(np.random.Philox(key=0)), self.seed, self.stream_id)
@@ -127,10 +121,8 @@ def allocate_shots(qpd: QuasiProbDecomposition, total: int) -> tuple[int, ...]:
     nonzero-probability term, each such term is guaranteed at least one shot
     so that no signed term is silently dropped.
     """
-    total = _integer("total", total)
-    if not 0 <= total <= MAX_SHOTS:
-        raise OutOfRangeError(f"total must lie in [0, 2**48], got {_shown(total)}")
-    probs = qpd.probabilities
+    probs = _instance(qpd, QuasiProbDecomposition).probabilities
+    total = _integer("total", total, lo=0, hi=MAX_SHOTS)
     quotas = probs * total
     counts = np.floor(quotas).astype(int)
     remainder = total - int(counts.sum())
@@ -158,11 +150,9 @@ class _Budget:
 
 
 def _budget(qpd: QuasiProbDecomposition, total_shots: int, mode: str) -> _Budget:
-    total_shots = _integer("total_shots", total_shots)
+    total_shots = _integer("total_shots", total_shots, hi=MAX_SHOTS)
     if total_shots < 1:
         raise ZeroShotsError(f"total_shots must be >= 1, got {_shown(total_shots)}")
-    if total_shots > MAX_SHOTS:
-        raise OutOfRangeError(f"total_shots must be <= 2**48, got {_shown(total_shots)}")
     if mode not in MODES:
         raise InvalidParameterError(f"mode must be one of {MODES}, got {mode!r}")
     if mode == "stratified":
@@ -223,7 +213,7 @@ def estimate_cut_expectation(
     all shots is returned.  Both are unbiased for the exact expectation
     whenever the decomposition reconstructs the identity.
     """
-    budget = _budget(qpd, total_shots, mode)
+    budget = _budget(_instance(qpd, QuasiProbDecomposition), total_shots, mode)
     obs = _pm_one_observable(observable, qpd.dim)
     w = as_unitary(prep)
     if w.shape[0] != qpd.dim:

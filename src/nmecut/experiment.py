@@ -18,7 +18,6 @@ from __future__ import annotations
 import contextlib
 import csv
 import math
-import numbers
 import os
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, fields
@@ -27,11 +26,11 @@ from typing import Sequence, TextIO
 import numpy as np
 
 from .errors import InvalidParameterError, NmecutError, _shown
-from .estimator import MODES, RandomSource, RngLike, as_generator
+from .estimator import MAX_SHOTS, MODES, RandomSource, RngLike, as_generator
 from .estimator import _budget, _draw_estimate, _expectation, _plus_probabilities, _rekey
-from .linalg import Z
+from .linalg import Z, _integer, _require_real, as_matrix
 from .qpd import nme_wire_cut
-from .states import _integer, checked_overlap, k_from_f
+from .states import checked_k, checked_overlap, k_from_f
 
 DEFAULT_F_VALUES = (0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
 DEFAULT_SHOT_GRID = tuple(range(250, 5001, 250))
@@ -74,30 +73,23 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         # Stored as plain float and int, so a numpy or JSON-integer f writes the CSV text `--f` does.
-        for name, bits, kind, noun, cast in (
-            ("f_values", _F_BITS, numbers.Real, "numbers", checked_overlap),
-            ("shot_grid", _SHOT_BITS, numbers.Integral, "integers", int),
-        ):
+        for name, bits in (("f_values", _F_BITS), ("shot_grid", _SHOT_BITS)):
             values = getattr(self, name)
             if not isinstance(values, (list, tuple)):
                 raise InvalidParameterError(f"{name} must be a list, got {_shown(values, repr)}")
             if not 1 <= len(values) <= 1 << bits:
                 raise InvalidParameterError(f"{name} must hold 1 to 2**{bits} entries, got {len(values)}")
-            for value in values:
-                if isinstance(value, bool) or not isinstance(value, kind):  # a bool is not a number here
-                    raise InvalidParameterError(f"{name} must hold {noun}, got {_shown(value, repr)}")
-            object.__setattr__(self, name, tuple(cast(value) for value in values))
-        for name in ("n_states", "seed"):
-            object.__setattr__(self, name, _integer(name, getattr(self, name)))
+        object.__setattr__(self, "f_values", tuple(checked_overlap(_require_real("f_values", f)) for f in self.f_values))
+        shots = tuple(_integer("shot_grid", n, lo=1, hi=MAX_SHOTS) for n in self.shot_grid)
+        if any(b <= a for a, b in zip(shots, shots[1:])):
+            raise InvalidParameterError("shot_grid must be strictly increasing")
+        object.__setattr__(self, "shot_grid", shots)
+        object.__setattr__(self, "n_states", _integer("n_states", self.n_states, lo=1, hi=1 << _STATE_BITS))
+        object.__setattr__(self, "seed", RandomSource(self.seed).seed)
         if not isinstance(self.paired, bool):
             raise InvalidParameterError(f"paired must be true or false, got {self.paired!r}")
-        if any(b <= a for a, b in zip((0,) + self.shot_grid, self.shot_grid)):
-            raise InvalidParameterError("shot_grid must be positive and strictly increasing")
-        if not 1 <= self.n_states <= 1 << _STATE_BITS:
-            raise InvalidParameterError(f"n_states must lie in [1, 2**{_STATE_BITS}], got {_shown(self.n_states)}")
         if self.mode not in MODES:
             raise InvalidParameterError(f"unknown mode {self.mode!r}")
-        RandomSource(self.seed)  # rejects seeds outside [0, 2**64)
 
     @classmethod
     def from_mapping(cls, values: object) -> ExperimentConfig:
@@ -231,7 +223,11 @@ def write_csv(records: Sequence[ExperimentRecord], path: str) -> None:
 
 
 def read_csv(path: str) -> list[ExperimentRecord]:
-    """Parse a sweep CSV; raises CsvFormatError on schema violations."""
+    """Parse a sweep CSV; CsvFormatError, naming the line, for a row off the schema or one no sweep writes.
+
+    f, k, shots and n_states are checked as a sweep checks them, and a repeated (f, shots) cell is
+    an error; avg_error and std_error are read as they are, so that `check_records` flags them.
+    """
     try:
         with open(path, newline="", encoding="utf-8") as handle:
             rows = list(csv.reader(handle))
@@ -239,24 +235,26 @@ def read_csv(path: str) -> list[ExperimentRecord]:
         raise CsvFormatError(f"{path}: not UTF-8 text: {exc}") from exc
     if not rows or tuple(rows[0]) != CSV_HEADER:
         raise CsvFormatError(f"{path}: expected header {','.join(CSV_HEADER)}")
-    records = []
+    records: dict[tuple[float, int], ExperimentRecord] = {}
     for lineno, row in enumerate(rows[1:], start=2):
         if len(row) != len(CSV_HEADER):
             raise CsvFormatError(f"{path}:{lineno}: expected {len(CSV_HEADER)} fields")
         try:
-            records.append(
-                ExperimentRecord(
-                    f=float(row[0]),
-                    k=float(row[1]),
-                    shots=int(row[2]),
-                    avg_error=float(row[3]),
-                    std_error=float(row[4]),
-                    n_states=int(row[5]),
-                )
+            record = ExperimentRecord(
+                f=checked_overlap(float(row[0])),
+                k=checked_k(float(row[1])),
+                shots=_integer("shots", int(row[2]), lo=1),
+                avg_error=float(row[3]),
+                std_error=float(row[4]),
+                n_states=_integer("n_states", int(row[5]), lo=1),
             )
-        except ValueError as exc:
+        except (ValueError, InvalidParameterError) as exc:
             raise CsvFormatError(f"{path}:{lineno}: {exc}") from exc
-    return records
+        cell = (record.f, record.shots)
+        if cell in records:
+            raise CsvFormatError(f"{path}:{lineno}: repeats the cell f={record.f!r}, shots={record.shots}")
+        records[cell] = record
+    return list(records.values())
 
 
 def _series_by_f(records: Sequence[ExperimentRecord]) -> dict[float, list[ExperimentRecord]]:
@@ -270,8 +268,8 @@ def _series_by_f(records: Sequence[ExperimentRecord]) -> dict[float, list[Experi
 
 def loglog_slope(shots: Sequence[int], errors: Sequence[float]) -> float:
     """Least-squares slope of log(error) against log(shots)."""
-    xs = np.log(np.asarray(shots, dtype=float))
-    ys = np.log(np.asarray(errors, dtype=float))
+    xs = np.log(as_matrix(shots, ndim=1, name="shots").real)
+    ys = np.log(as_matrix(errors, ndim=1, name="errors").real)
     return float(np.polyfit(xs, ys, 1)[0])
 
 

@@ -4,11 +4,13 @@ Everything here is exact double-precision arithmetic on small (at most 8x8)
 matrices.  Qubit ordering convention: the leftmost tensor factor is qubit 0
 and the most significant bit of a computational-basis index.  A state is
 its array: `PureState` and `DensityOperator` read `dim` from its shape, and
-`check_two_qubit` is the one check of a two-qubit state argument.
+`check_two_qubit` is the one check of a two-qubit state argument.  Each kind
+of argument has one door: `as_matrix`, `_integer`, `_require_real`, `_instance`.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import TypeVar
 
@@ -22,10 +24,12 @@ from .errors import (
     NotPositiveError,
     NotUnitaryError,
     NotUnitTraceError,
+    OutOfRangeError,
+    _shown,
 )
 
 Matrix = npt.NDArray[np.complex128]
-State = TypeVar("State")
+T = TypeVar("T")
 
 HERMITIAN_TOL = 1e-10
 UNITARY_TOL = 1e-10
@@ -51,14 +55,45 @@ CNOT = np.array(
 )
 
 
-def as_matrix(a: npt.ArrayLike) -> Matrix:
-    """Coerce to a complex128 2-d array, rejecting NaN/Inf entries."""
-    m = np.array(a, dtype=complex)
-    if m.ndim != 2:
-        raise InvalidParameterError(f"expected a 2-d matrix, got ndim={m.ndim}")
-    if not np.isfinite(m).all():  # a complex entry is finite only if both parts are
-        raise InvalidParameterError("matrix contains non-finite entries")
+def as_matrix(a: npt.ArrayLike, ndim: int = 2, name: str = "matrix") -> Matrix:
+    """`a` as a complex128 array of `ndim` dimensions; InvalidParameterError unless numeric, of that ndim and finite."""
+    try:
+        m = np.array(a, dtype=complex)
+    except (TypeError, ValueError) as exc:  # a string, a dict, a ragged list ...
+        raise InvalidParameterError(f"{name} must be a numeric array: {exc}") from None
+    if m.ndim != ndim:
+        raise InvalidParameterError(f"{name} must be {ndim}-d, got ndim={m.ndim}")
+    if not all(np.isfinite(m).flat):  # on arrays this small, all() over .flat beats ndarray.all()
+        raise InvalidParameterError(f"{name} must be finite, got a non-finite entry")
     return m
+
+
+def _integer(name: str, value: object, lo: int | None = None, hi: int | None = None) -> int:
+    """`value` as a plain int; InvalidParameterError unless it is an integer other than a bool, OutOfRangeError outside [lo, hi]."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):  # True is an Integral
+        raise InvalidParameterError(f"{name} must be an integer, got {_shown(value, repr)}")
+    number = int(value)
+    if lo is not None and hi is not None and not lo <= number <= hi:
+        raise OutOfRangeError(f"{name} must lie in [{lo}, {hi}], got {_shown(number)}")
+    if lo is not None and number < lo:
+        raise OutOfRangeError(f"{name} must be >= {lo}, got {_shown(number)}")
+    if hi is not None and number > hi:
+        raise OutOfRangeError(f"{name} must be <= {hi}, got {_shown(number)}")
+    return number
+
+
+def _require_real(name: str, value: object) -> numbers.Real:
+    """`value`, with a numpy float as a Python float; InvalidParameterError unless it is one real number, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InvalidParameterError(f"{name} must be a real number, got {_shown(value, repr)}")
+    return float(value) if isinstance(value, np.floating) else value
+
+
+def _instance(value: object, kind: type[T]) -> T:
+    """`value`; InvalidParameterError unless it is a `kind`."""
+    if not isinstance(value, kind):
+        raise InvalidParameterError(f"expected a {kind.__name__}, got {type(value).__name__}")
+    return value
 
 
 def dagger(a: Matrix) -> Matrix:
@@ -92,11 +127,9 @@ def kron(a: npt.ArrayLike, b: npt.ArrayLike) -> Matrix:
     return np.kron(as_matrix(a), as_matrix(b))
 
 
-def check_two_qubit(state: object, kind: type[State]) -> State:
+def check_two_qubit(state: object, kind: type[T]) -> T:
     """Returns `state`; InvalidParameterError unless it is a `kind`, DimensionMismatchError unless its dim is 4."""
-    if not isinstance(state, kind):
-        raise InvalidParameterError(f"expected a {kind.__name__}, got {type(state).__name__}")
-    if state.dim != 4:
+    if _instance(state, kind).dim != 4:
         raise DimensionMismatchError(f"expected a 2-qubit {kind.__name__}, got dim {state.dim}")
     return state
 
@@ -137,12 +170,10 @@ class PureState:
     dim: int = field(init=False)
 
     def __post_init__(self) -> None:
-        v = np.array(self.amplitudes, dtype=complex)
-        if v.ndim != 1:
-            raise InvalidParameterError(f"expected a 1-d amplitude vector, got ndim={v.ndim}")
+        v = as_matrix(self.amplitudes, ndim=1, name="amplitudes")
         object.__setattr__(self, "dim", _qubit_dim(v.shape[0]))
         nrm = float(np.linalg.norm(v))
-        if not abs(nrm - 1.0) <= NORM_TOL:  # also rejects a NaN norm
+        if abs(nrm - 1.0) > NORM_TOL:
             raise InvalidParameterError(f"|norm - 1| = {abs(nrm - 1.0):.3e} > {NORM_TOL}")
         v.flags.writeable = False
         object.__setattr__(self, "amplitudes", v)

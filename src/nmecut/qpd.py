@@ -25,8 +25,8 @@ from .channels import (
     teleportation_channel,
 )
 from .errors import DimensionMismatchError, InvalidParameterError, _shown
-from .linalg import H, S, Matrix
-from .states import _require_real, checked_k, checked_overlap, nme_state
+from .linalg import H, S, Matrix, _instance, _require_real
+from .states import checked_k, checked_overlap, nme_state
 
 COEFFICIENT_SUM_TOL = 1e-12
 
@@ -177,7 +177,8 @@ def reconstruct_channel(qpd: QuasiProbDecomposition) -> Matrix:
     the identity Choi matrix exactly when the decomposition is a valid wire
     cut.
     """
-    out = np.zeros_like(qpd.terms[0].channel.choi)
-    for t in qpd.terms:
+    terms = _instance(qpd, QuasiProbDecomposition).terms
+    out = np.zeros_like(terms[0].channel.choi)
+    for t in terms:
         out = out + t.coefficient * t.channel.choi
     return out

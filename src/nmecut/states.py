@@ -13,8 +13,6 @@ separable at k = 0 and maximally entangled at k = 1; f interpolates between
 from __future__ import annotations
 
 import math
-import numbers
-import operator
 import sys
 from dataclasses import dataclass
 from typing import Sequence
@@ -22,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidParameterError, OutOfRangeError, _shown
-from .linalg import PAULIS, TRACE_TOL, I2, PureState, check_two_qubit, kron
+from .linalg import PAULIS, TRACE_TOL, I2, PureState, _integer, _require_real, as_matrix, check_two_qubit, kron
 
 RANGE_TOL = 1e-12
 
@@ -66,7 +64,7 @@ def nme_state(k: float) -> PureState:
         norm = j / math.sqrt(1.0 + j * j)
     else:
         norm = 1.0 / math.sqrt(1.0 + k * k)
-    return PureState(norm * np.array([1.0, 0.0, 0.0, k], dtype=complex))
+    return PureState(norm * np.array([1.0, 0.0, 0.0, k]))
 
 
 def bell_state(sigma: str) -> PureState:
@@ -102,14 +100,13 @@ def m_distillation_norm(coeffs: Sequence[float], m: int) -> float:
     (slices 0-based, ties resolved toward the smaller j).  For two-qubit
     states with m = 2 this reduces to the plain coefficient sum.
     """
-    c = np.asarray(coeffs, dtype=float)
-    m = _integer("m", m)
-    if m < 1:
-        raise InvalidParameterError(f"m must be >= 1, got {_shown(m)}")
-    if c.ndim != 1 or c.size == 0:
+    z = as_matrix(coeffs, ndim=1, name="coefficients")
+    m = _integer("m", m, lo=1)
+    if z.size == 0:
         raise InvalidParameterError("coefficients must be a nonempty 1-d sequence")
-    if not np.isfinite(c).all():
-        raise InvalidParameterError("coefficients must be finite")
+    if any(z.imag):
+        raise InvalidParameterError("coefficients must be real, got a nonzero imaginary part")
+    c = z.real
     if np.any(c < -RANGE_TOL):
         raise InvalidParameterError("coefficients must be nonnegative")
     if np.any(np.diff(c) > RANGE_TOL):
@@ -138,23 +135,6 @@ def overlap_f_pure(psi: PureState) -> float:
     form = schmidt_decompose(psi)
     nrm = m_distillation_norm(form.coefficients, 2)
     return 0.5 * nrm * nrm
-
-
-def _require_real(name: str, value: object) -> numbers.Real:
-    """`value`, with a numpy float as a Python float; InvalidParameterError unless it is one real number, not a bool."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise InvalidParameterError(f"{name} must be a real number, got {_shown(value, repr)}")
-    return float(value) if isinstance(value, np.floating) else value
-
-
-def _integer(name: str, value: object) -> int:
-    """`value` as a plain int; InvalidParameterError unless it is an integer other than a bool."""
-    try:
-        if isinstance(value, bool):  # operator.index(True) is 1
-            raise TypeError
-        return operator.index(value)
-    except TypeError:
-        raise InvalidParameterError(f"{name} must be an integer, got {_shown(value, repr)}") from None
 
 
 # Both checks compare before converting an integer: float() of one beyond the

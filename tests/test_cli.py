@@ -236,7 +236,7 @@ MALFORMED_CONFIGS = [
     (b'{"paired": "false"}', "paired"),
     (None, "nope.json"),
     ('{"seed": 1, "note": "caf\u00e9"}'.encode("latin-1"), "malformed.json"),
-    (b'{"shot_grid": [100000000000000000000], "n_states": 1}', "total_shots"),
+    (b'{"shot_grid": [100000000000000000000], "n_states": 1}', "shot_grid"),
     (b'{"f_values": [1' + b"0" * 400 + b"]}", "f must lie in [0.5, 1]"),
     (b'{"f_values": [1' + b"0" * 5000 + b"]}", "malformed.json"),
 ]
@@ -367,6 +367,26 @@ class TestPlot:
         assert "Traceback" not in err
         assert svg.exists()
         assert ("avg_error inf is not a positive finite number" in err) == check
+
+    @pytest.mark.parametrize(
+        "rows, named",
+        [
+            (["0.5,0.0,250,0.1,0.01,10", "0.5,0.0,0,0.2,0.01,10", "0.5,0.0,1000,0.05,0.01,10"], ":3: shots"),
+            (["0.5,0.0,250,0.1,0.01,10", "0.5,0.0,-100,0.2,0.01,10"], ":3: shots"),
+            (["nan,0.0,250,0.1,0.01,10", "nan,0.0,1000,0.05,0.01,10"], ":2: f must"),
+            (["0.5,0.0,250,0.1,0.01,10", "0.5,0.0,250,0.09,0.01,10", "0.5,0.0,1000,0.05,0.01,10"], ":3: repeats"),
+        ],
+        ids=["zero-shots", "negative-shots", "nan-f", "repeated-cell"],
+    )
+    def test_assert_rejects_a_row_no_sweep_writes(self, rows, named, tmp_path, capsys):
+        # These used to end in a LinAlgError traceback, pass with nothing checked, or fit a meaningless slope.
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(["f,k,shots,avg_error,std_error,n_states", *rows]) + "\n")
+        code, out, err = run_cli(["plot", "--in", str(bad), "--out", str(tmp_path / "x.svg"), "--assert"], capsys)
+        assert code == 2
+        assert "Traceback" not in err
+        assert "all checks passed" not in out
+        assert f"bad.csv{named}" in err
 
     def test_non_utf8_csv_exits_two(self, tmp_path, capsys):
         bad = tmp_path / "latin1.csv"

@@ -146,7 +146,7 @@ class TestPureState:
             PureState(np.eye(16)[0])
 
     def test_nan_amplitude_rejected(self):
-        with pytest.raises(InvalidParameterError, match="norm"):
+        with pytest.raises(InvalidParameterError, match="finite"):
             PureState(np.array([np.nan, 0.0]))
 
 
