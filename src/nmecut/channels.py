@@ -12,10 +12,10 @@ witness used throughout the tests.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from functools import cached_property
 
 import numpy as np
+import numpy.typing as npt
 
 from .errors import DimensionMismatchError, InvalidParameterError, NotTracePreservingError
 from .linalg import (
@@ -43,27 +43,23 @@ TRACE_PRESERVING_TOL = 1e-10
 _BELL_MEASUREMENT = kron(kron(H, I2) @ CNOT, I2).reshape(2, 2, 2, 2, 4)
 # The receiver's correction Z^a X^b for each outcome, indexed [a, b, row, col].
 _CORRECTIONS = np.array([[I2, X], [Z, Z @ X]])
+# I, X, Y, Z in the order of `bell_overlaps`, which reads them from PAULIS.
+_PAULI_STACK = np.array(list(PAULIS.values()))
 
 
 class QuantumChannel:
     """Completely positive trace-preserving map stored as one Kraus array.
 
     `kraus` is a read-only complex (n, out_dim, in_dim) array, copied from
-    the caller's operators.  Instances are immutable after construction; the
-    Choi matrix is computed lazily and cached (idempotent, safe under
-    concurrent first access).
+    the caller's stack of operators.  Instances are immutable after
+    construction; the Choi matrix is computed lazily and cached (idempotent,
+    safe under concurrent first access).
     """
 
-    def __init__(self, kraus: Iterable[np.ndarray], name: str = "") -> None:
-        if not isinstance(kraus, Iterable):
-            raise InvalidParameterError(f"expected an iterable of Kraus operators, got {type(kraus).__name__}")
-        ops = [as_matrix(op, name="Kraus operator") for op in kraus]
-        if not ops:
-            raise InvalidParameterError("a channel needs at least one Kraus operator")
-        shapes = {op.shape for op in ops}
-        if len(shapes) > 1:
-            raise DimensionMismatchError(f"inconsistent Kraus shapes: {sorted(shapes)}")
-        stack = np.array(ops)
+    def __init__(self, kraus: npt.ArrayLike, name: str = "") -> None:
+        stack = as_matrix(kraus, ndim=3, name="Kraus operators")
+        if not stack.size:  # no operator, or operators of a zero dimension
+            raise InvalidParameterError(f"a channel needs at least one nonempty Kraus operator, got shape {stack.shape}")
         _, out_dim, in_dim = stack.shape
         total = np.einsum("kji,kjl->il", stack.conj(), stack)
         residual = np.abs(total - np.eye(in_dim)).max()
@@ -97,7 +93,7 @@ class QuantumChannel:
 
 def unitary_channel(u: np.ndarray, name: str = "") -> QuantumChannel:
     """Single-Kraus channel rho -> U rho U^dag."""
-    return QuantumChannel([as_unitary(u)], name=name or "unitary")
+    return QuantumChannel(as_unitary(u)[None], name=name or "unitary")
 
 
 def conjugate_channel(u: np.ndarray, ch: QuantumChannel, name: str = "") -> QuantumChannel:
@@ -122,9 +118,7 @@ def measure_prepare_flip_channel() -> QuantumChannel:
 
     Kraus set {|1><0|, |0><1|}: maps rho to <0|rho|0> |1><1| + <1|rho|1> |0><0|.
     """
-    k0 = np.array([[0, 0], [1, 0]], dtype=complex)  # |1><0|
-    k1 = np.array([[0, 1], [0, 0]], dtype=complex)  # |0><1|
-    return QuantumChannel([k0, k1], name="measure-prepare-flip")
+    return QuantumChannel([[[0, 0], [1, 0]], [[0, 1], [0, 0]]], name="measure-prepare-flip")
 
 
 def bell_overlaps(rho: DensityOperator) -> dict[str, float]:
@@ -148,12 +142,9 @@ def teleportation_channel(resource: DensityOperator) -> QuantumChannel:
     entangled resource gives the identity, and the |phi_k> family introduces
     Z errors only.
     """
-    weights = bell_overlaps(resource)
-    kraus = [
-        np.sqrt(w) * PAULIS[name]
-        for name, w in weights.items()
-        if w > 0.0
-    ]
+    weights = np.array(list(bell_overlaps(resource).values()))
+    keep = weights > 0.0
+    kraus = np.sqrt(weights[keep])[:, None, None] * _PAULI_STACK[keep]
     return QuantumChannel(kraus, name="teleport")
 
 

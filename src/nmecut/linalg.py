@@ -58,8 +58,11 @@ CNOT = np.array(
 def as_matrix(a: npt.ArrayLike, ndim: int = 2, name: str = "matrix") -> Matrix:
     """`a` as a complex128 array of `ndim` dimensions; InvalidParameterError unless numeric, of that ndim and finite."""
     try:
-        m = np.array(a, dtype=complex)
-    except (TypeError, ValueError) as exc:  # a string, a dict, a ragged list ...
+        raw = np.asarray(a)
+        if raw.dtype.kind not in "biufc":  # a string or an object; np.array(a, dtype=complex) would parse "1" as 1
+            raise InvalidParameterError(f"{name} must be a numeric array, got dtype {raw.dtype}")
+        m = np.array(raw, dtype=complex)
+    except (TypeError, ValueError) as exc:  # a ragged list ...
         raise InvalidParameterError(f"{name} must be a numeric array: {exc}") from None
     if m.ndim != ndim:
         raise InvalidParameterError(f"{name} must be {ndim}-d, got ndim={m.ndim}")

@@ -177,8 +177,4 @@ def reconstruct_channel(qpd: QuasiProbDecomposition) -> Matrix:
     the identity Choi matrix exactly when the decomposition is a valid wire
     cut.
     """
-    terms = _instance(qpd, QuasiProbDecomposition).terms
-    out = np.zeros_like(terms[0].channel.choi)
-    for t in terms:
-        out = out + t.coefficient * t.channel.choi
-    return out
+    return sum(t.coefficient * t.channel.choi for t in _instance(qpd, QuasiProbDecomposition).terms)

@@ -121,7 +121,9 @@ def m_distillation_norm(coeffs: Sequence[float], m: int) -> float:
         t = c[max(start, 0):]
         return float(np.dot(t, t))
 
-    j_star = min(range(1, m + 1), key=lambda j: (tail_sq(m - j) / j, j))
+    # For m > d the tail from m - 1 is empty, so j = 1 already reaches the least key (0, 1):
+    # scanning j <= min(m, d) keeps j* and bounds the loop by d, not by m.
+    j_star = min(range(1, min(m, d) + 1), key=lambda j: (tail_sq(m - j) / j, j))
     head = float(np.sum(c[:j_star]))
     return head + math.sqrt(j_star) * math.sqrt(tail_sq(j_star))
 

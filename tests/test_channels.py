@@ -260,8 +260,14 @@ class TestConstructorContract:
         with pytest.raises(InvalidParameterError):
             QuantumChannel([])
 
+    @pytest.mark.parametrize("shape", [(0, 2, 2), (1, 0, 0), (1, 2, 0), (1, 0, 2)])
+    def test_zero_size_stack_rejected(self, shape):
+        # A zero input dimension used to end in a bare ValueError from max() over an empty residual.
+        with pytest.raises(InvalidParameterError, match="at least one nonempty Kraus operator"):
+            QuantumChannel(np.zeros(shape))
+
     def test_inconsistent_shapes_rejected(self):
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(InvalidParameterError):
             QuantumChannel([I2 / np.sqrt(2), np.eye(3) / np.sqrt(2)])
 
     @pytest.mark.parametrize(

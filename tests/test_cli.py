@@ -4,8 +4,12 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from nmecut.cli import main
+from nmecut.estimator import MODES
+from nmecut.experiment import CSV_HEADER
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -419,3 +423,85 @@ class TestHelp:
         with pytest.raises(SystemExit) as excinfo:
             main(["unknown-command"])
         assert excinfo.value.code == 2
+
+
+# Tokens a user or a script might pass where a number belongs; "٣" is an Arabic-Indic 3, which int() accepts.
+TOKENS = ("nan", "inf", "-inf", "1e400", "1e-300", "-1", "0", "abc", "0x10", "٣", "")
+
+
+def mostly(good, bad):
+    """A draw from the strategy `good` about nine times in ten, else from `bad`.
+
+    An example fails at its first bad argument, so most arguments must be good for the checks behind
+    argparse and behind the first one to run at all.
+    """
+    return st.tuples(st.integers(0, 9), good, bad).map(lambda drawn: drawn[2] if drawn[0] == 0 else drawn[1])
+
+
+def value(*good):
+    """One argument: mostly a value from `good`, else a token from TOKENS."""
+    return mostly(st.sampled_from(good), st.sampled_from(TOKENS))
+
+
+def flag(name, *values):
+    """[] or [name, one draw from each of `values`]."""
+    return st.one_of(st.just([]), st.tuples(*values).map(lambda drawn: [name, *drawn]))
+
+
+K, F, COUNT = value("0", "0.5", "1"), value("0.5", "0.9", "1"), value("1", "2", "٣")
+
+
+def experiment_argv(data, tmp_path):
+    config = tmp_path / "config.json"
+    field, setting = data.draw(
+        st.sampled_from([("f_values", F), ("shot_grid", COUNT), ("n_states", COUNT), ("seed", COUNT)])
+    )
+    config.write_text(f'{{"{field}": {data.draw(setting) or "null"}}}', encoding="utf-8")
+    # n-states and shots are always given, so every sweep stays at <= 3 states and <= 2 budgets.
+    return [
+        "experiment", "--n-states", data.draw(COUNT), "--shots", *data.draw(st.lists(COUNT, min_size=1, max_size=2)),
+        "--out", str(tmp_path / data.draw(mostly(st.just("out.csv"), st.just("missing/out.csv")))),
+        *data.draw(flag("--f", F) | flag("--f", F, F)),
+        *data.draw(flag("--seed", COUNT)),
+        *data.draw(flag("--mode", st.sampled_from([*MODES, "abc"]))),
+        *data.draw(flag("--unpaired")),
+        *data.draw(flag("--config", mostly(st.just(str(config)), st.just(str(tmp_path / "nope.json"))))),
+    ]
+
+
+def plot_argv(data, tmp_path):
+    header = data.draw(value(",".join(CSV_HEADER)))
+    row = st.tuples(F, K, value("10", "250", "1000"), value("0.1", "0.01"), value("0.01"), COUNT).map(list)
+    ragged = st.lists(st.sampled_from(TOKENS), min_size=5, max_size=7)
+    rows = data.draw(st.lists(mostly(row, ragged).map(",".join), max_size=3))
+    csv = tmp_path / "in.csv"
+    csv.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+    return ["plot", "--in", str(csv), "--out", str(tmp_path / "out.svg"), *data.draw(flag("--assert"))]
+
+
+FUZZ_ARGV = {
+    "overhead": lambda data, _: ["overhead", *data.draw(flag("--k", K)), *data.draw(flag("--f", F))],
+    "decompose": lambda data, _: ["decompose", *data.draw(flag("--k", K))],
+    "verify": lambda data, _: ["verify", *data.draw(flag("--k", K)), *data.draw(flag("--all"))],
+    "experiment": experiment_argv,
+    "plot": plot_argv,
+}
+
+
+def exit_code(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:  # argparse rejects the command line with exit status 2
+        return exc.code
+
+
+class TestFuzz:
+    @pytest.mark.parametrize("build", FUZZ_ARGV.values(), ids=FUZZ_ARGV.keys())
+    @settings(
+        max_examples=20, derandomize=True, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(data=st.data())
+    def test_every_command_line_ends_in_an_exit_code(self, build, data, tmp_path):
+        # Each example overwrites the same files under tmp_path, so sharing the fixture is safe.
+        argv = build(data, tmp_path)
+        assert exit_code(argv) in (0, 1, 2), argv

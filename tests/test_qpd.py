@@ -8,7 +8,7 @@ import pytest
 
 from nmecut.errors import DimensionMismatchError, InvalidParameterError, OutOfRangeError
 from nmecut.channels import QuantumChannel, unitary_channel
-from nmecut.linalg import I2
+from nmecut.linalg import I2, PAULIS
 from nmecut.qpd import (
     QpdTerm,
     QuasiProbDecomposition,
@@ -136,6 +136,36 @@ class TestNmeWireCut:
             deviation = np.abs(reconstruct_channel(nme_wire_cut(k)) - identity_choi()).max()
             assert deviation <= 1e-10
             assert nme_wire_cut(k).kappa == pytest.approx(closed_form_overhead(k), abs=1e-12)
+
+
+PAULI_STACK = np.array([PAULIS[name] for name in "IXYZ"])
+
+
+def pauli_transfer_matrix(channel):
+    """R[a, b] = tr(P_a F(P_b)) / 2 over (I, X, Y, Z), from the Kraus action alone."""
+    return np.einsum("aij,bji->ab", PAULI_STACK, channel.act(PAULI_STACK)) / 2
+
+
+class TestPauliForm:
+    """The paper's cut is diagonal in the Pauli basis: each term damps or flips X, Y and Z."""
+
+    @pytest.mark.parametrize("k", [0.0, 0.5, 1.0])
+    def test_nme_terms_and_sum(self, k):
+        f = (k + 1) ** 2 / (2 * (k * k + 1))
+        terms = nme_wire_cut(k).terms
+        forms = [pauli_transfer_matrix(t.channel) for t in terms]
+        np.testing.assert_allclose(forms[0], np.diag([1, 1, 2 * f - 1, 2 * f - 1]), atol=1e-12)
+        np.testing.assert_allclose(forms[1], np.diag([1, 2 * f - 1, 1, 2 * f - 1]), atol=1e-12)
+        if k != 1.0:
+            np.testing.assert_allclose(forms[2], np.diag([1, 0, 0, -1]), atol=1e-12)
+        total = sum(t.coefficient * r for t, r in zip(terms, forms))
+        np.testing.assert_allclose(total, np.eye(4), atol=1e-12)
+
+    def test_harada_terms(self):
+        forms = [pauli_transfer_matrix(t.channel) for t in harada_wire_cut().terms]
+        expected = [np.diag([1, 1, 0, 0]), np.diag([1, 0, 1, 0]), np.diag([1, 0, 0, -1])]
+        for form, diag in zip(forms, expected, strict=True):
+            np.testing.assert_allclose(form, diag, atol=1e-12)
 
 
 class TestLargeK:

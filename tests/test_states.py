@@ -157,6 +157,10 @@ class TestMDistillationNorm:
                 direct_norm_minimum(coeffs, 2), abs=1e-12
             )
 
+    def test_m_beyond_coefficient_count_is_not_scanned(self):
+        # Above d the minimizing j is 1; scanning every j up to m = 10**9 would take about 40 minutes.
+        assert m_distillation_norm((0.8, 0.6), 10**9) == 1.4
+
     def test_rejects_unsorted(self):
         with pytest.raises(InvalidParameterError):
             m_distillation_norm((0.3, 0.9), 2)
