@@ -106,12 +106,8 @@ def _pm_one_observable(observable: np.ndarray, dim: int) -> Matrix:
 def exact_expectation(prep: np.ndarray, observable: np.ndarray) -> float:
     """<0| W^dag O W |0> for a unitary preparation W and Hermitian O."""
     w = as_unitary(prep)
-    return _expectation(w[:, 0], _check_observable(observable, w.shape[0]))
-
-
-def _expectation(column: np.ndarray, obs: Matrix) -> float:
-    """<psi| O |psi> for the state column psi = W|0> and a checked O."""
-    return float(np.real(column.conj() @ obs @ column))
+    column = w[:, 0]
+    return float(np.real(column.conj() @ _check_observable(observable, w.shape[0]) @ column))
 
 
 def allocate_shots(qpd: QuasiProbDecomposition, total: int) -> tuple[int, ...]:
@@ -182,14 +178,30 @@ def _draw_estimate(budget: _Budget, p_plus: Sequence[float], gen: np.random.Gene
     """One signed recombination of binomial branch counts for checked inputs."""
     stratified = budget.allocation is not None
     shots = budget.allocation if stratified else gen.multinomial(budget.total, budget.probabilities).tolist()
-    # Scalar draws in term order consume the stream exactly as one array draw
-    # would, and terms without shots draw nothing.  The sum runs left to right
-    # from 0.0 in plain float adds; the golden CSVs pin these bits.
+    # Terms without shots draw nothing.  The sum runs left to right from 0.0 in plain
+    # float adds, as in `_draw_cell`; tests/data/golden_estimates.csv pins these bits.
     total = 0.0
     for weight, n, p in zip(budget.weights, shots, p_plus):
         if n:
             outcome_sum = 2.0 * gen.binomial(n, p) - n
             total += weight * (outcome_sum / n) if stratified else weight * outcome_sum
+    return total if stratified else total / budget.total
+
+
+def _draw_cell(budget: _Budget, p_plus: np.ndarray, gen: np.random.Generator) -> np.ndarray:
+    """One estimate per row of an (n, terms) probability table; multinomial splits are drawn first.
+
+    The binomial array draw consumes `gen` as scalar draws in row order would, and rows are summed
+    as `_draw_estimate` sums, so each row has the bits of those scalar draws.
+    """
+    stratified = budget.allocation is not None
+    shots = budget.allocation if stratified else gen.multinomial(budget.total, budget.probabilities, size=len(p_plus))
+    outcome_sums = 2.0 * gen.binomial(shots, p_plus) - shots
+    # A term without shots adds weight * 0.0 to a sum that is never -0.0, which skipping it would too.
+    means = outcome_sums / np.maximum(shots, 1) if stratified else outcome_sums
+    total = np.zeros(len(p_plus))
+    for weight, column in zip(budget.weights, means.T):
+        total += weight * column
     return total if stratified else total / budget.total
 
 

@@ -9,8 +9,8 @@ every shot budget, and aggregates the absolute error
 over all random states.  By default the same W sequence (common random
 numbers) is reused across every (f, shots) cell so that series are paired;
 independent sequences per f are available via `paired=False`.  All
-randomness derives from (seed, stream_id) Philox keys, so a fixed
-configuration reproduces byte-identical CSV output.
+randomness derives from (seed, stream_id) Philox keys (see STREAM_LAYOUT),
+so a fixed configuration reproduces byte-identical CSV output.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import InvalidParameterError, NmecutError, _shown
 from .estimator import MAX_SHOTS, MODES, RandomSource, RngLike, as_generator
-from .estimator import _budget, _draw_estimate, _expectation, _plus_probabilities, _rekey
+from .estimator import _budget, _draw_cell, _plus_probabilities, _rekey
 from .linalg import Z, _integer, _require_real, as_matrix
 from .qpd import nme_wire_cut
 from .states import checked_k, checked_overlap, k_from_f
@@ -44,16 +44,15 @@ SLOPE_RANGE = (-0.65, -0.35)
 # Shot threshold above which the f-ordering must hold strictly.
 ORDERING_MIN_SHOTS = 1000
 
-# Stream-id roles; the sampling role is disjoint from the W roles by
-# construction so preparation and shot noise never share a stream.
+# Version of the sweep's stream keys.  Layout 2: one stream per set of preparations,
+# _W_ROLE when paired and _W_UNPAIRED_ROLE + f index when not, and one per (f, shots)
+# cell, _SAMPLE_ROLE + (f index << _INDEX_BITS) + shot index; the config keeps both indices in range.
+STREAM_LAYOUT = 2
 _W_ROLE = 1 << 40
 _W_UNPAIRED_ROLE = 1 << 41
 _SAMPLE_ROLE = 1 << 62
-# Index slots packed below the role bits; ExperimentConfig bounds every index
-# to its slot, so distinct (role, indices) give distinct stream ids.
-_STATE_BITS = 24
-_SHOT_BITS = 16
-_F_BITS = 16
+_INDEX_BITS = 16
+MAX_STATES = 1 << 24  # size cap: each cell holds a few (n_states, terms) arrays
 
 
 class CsvFormatError(NmecutError):
@@ -73,18 +72,18 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         # Stored as plain float and int, so a numpy or JSON-integer f writes the CSV text `--f` does.
-        for name, bits in (("f_values", _F_BITS), ("shot_grid", _SHOT_BITS)):
+        for name in ("f_values", "shot_grid"):
             values = getattr(self, name)
             if not isinstance(values, (list, tuple)):
                 raise InvalidParameterError(f"{name} must be a list, got {_shown(values, repr)}")
-            if not 1 <= len(values) <= 1 << bits:
-                raise InvalidParameterError(f"{name} must hold 1 to 2**{bits} entries, got {len(values)}")
+            if not 1 <= len(values) <= 1 << _INDEX_BITS:
+                raise InvalidParameterError(f"{name} must hold 1 to 2**{_INDEX_BITS} entries, got {len(values)}")
         object.__setattr__(self, "f_values", tuple(checked_overlap(_require_real("f_values", f)) for f in self.f_values))
         shots = tuple(_integer("shot_grid", n, lo=1, hi=MAX_SHOTS) for n in self.shot_grid)
         if any(b <= a for a, b in zip(shots, shots[1:])):
             raise InvalidParameterError("shot_grid must be strictly increasing")
         object.__setattr__(self, "shot_grid", shots)
-        object.__setattr__(self, "n_states", _integer("n_states", self.n_states, lo=1, hi=1 << _STATE_BITS))
+        object.__setattr__(self, "n_states", _integer("n_states", self.n_states, lo=1, hi=MAX_STATES))
         object.__setattr__(self, "seed", RandomSource(self.seed).seed)
         if not isinstance(self.paired, bool):
             raise InvalidParameterError(f"paired must be true or false, got {self.paired!r}")
@@ -134,48 +133,36 @@ def _haar_unitaries(normals: np.ndarray) -> np.ndarray:
     return q * (diagonal / np.abs(diagonal))[:, None, :]
 
 
-def _w_stream(config: ExperimentConfig, f_index: int, state_index: int) -> int:
-    if config.paired:
-        return _W_ROLE + state_index
-    return _W_UNPAIRED_ROLE + (f_index << _STATE_BITS) + state_index
+def _haar_columns(gen: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(n, 2) rows psi = W|0> of Haar-random W from one normal draw, and <0|W^dag Z W|0> for each.
 
-
-def _sample_stream(f_index: int, shot_index: int, state_index: int) -> int:
-    return _SAMPLE_ROLE + (f_index << (_SHOT_BITS + _STATE_BITS)) + (shot_index << _STATE_BITS) + state_index
+    W|0> is uniform on the unit sphere of C^2, as is a normalized complex Gaussian 2-vector: no QR.
+    """
+    normals = gen.standard_normal((n, 2, 2))
+    columns = normals[:, 0] + 1j * normals[:, 1]
+    columns /= np.linalg.norm(columns, axis=1, keepdims=True)
+    return columns, np.abs(columns[:, 0]) ** 2 - np.abs(columns[:, 1]) ** 2
 
 
 def run_sweep(config: ExperimentConfig) -> list[ExperimentRecord]:
     """One record per (f, shots) pair, averaged over `n_states` random states.
 
-    Each trial's error is |estimate_cut_expectation - exact_expectation| on
-    its own (seed, stream) keys.  One generator is re-keyed for every stream;
-    each state stream makes one standard-normal draw into an (n, 2, 2, 2)
-    array, and the states of an f share one Haar QR and one probability table.
+    A trial's error is |estimate - <0|W^dag Z W|0>| for the cut estimate of <Z>.  Each set of
+    preparations is one normal draw and each f one (n, terms) probability table; each cell
+    draws all its estimates in one `_draw_cell` call, on its own stream of STREAM_LAYOUT.
     """
     gen = RandomSource(config.seed).generator()
-
-    def preparations(fi: int) -> tuple[np.ndarray, list[float]]:
-        """W|0> rows as an (n, 2) stack, and <0|W^dag Z W|0> for every state of the f-index `fi`."""
-        normals = np.empty((config.n_states, 2, 2, 2))
-        for si in range(config.n_states):
-            _rekey(gen, config.seed, _w_stream(config, fi, si)).standard_normal(out=normals[si])
-        columns = _haar_unitaries(normals)[:, :, 0]
-        return columns, [_expectation(column, Z) for column in columns]
-
-    # Paired preparations use the same streams for every f.
-    shared = preparations(0) if config.paired else None
     records: list[ExperimentRecord] = []
     for fi, f in enumerate(config.f_values):
+        if fi == 0 or not config.paired:
+            prep_stream = _W_ROLE if config.paired else _W_UNPAIRED_ROLE + fi
+            columns, exact = _haar_columns(_rekey(gen, config.seed, prep_stream), config.n_states)
         k = k_from_f(f)
         decomposition = nme_wire_cut(k)
-        columns, exact = shared if shared is not None else preparations(fi)
-        p_plus = _plus_probabilities(decomposition, columns, Z).tolist()
+        p_plus = _plus_probabilities(decomposition, columns, Z)
         for ji, shots in enumerate(config.shot_grid):
-            budget = _budget(decomposition, shots, config.mode)
-            errors = np.empty(config.n_states)
-            for si, (value, probs) in enumerate(zip(exact, p_plus)):
-                _rekey(gen, config.seed, _sample_stream(fi, ji, si))
-                errors[si] = abs(_draw_estimate(budget, probs, gen) - value)
+            _rekey(gen, config.seed, _SAMPLE_ROLE + (fi << _INDEX_BITS) + ji)
+            errors = np.abs(_draw_cell(_budget(decomposition, shots, config.mode), p_plus, gen) - exact)
             std_error = (
                 float(errors.std(ddof=1) / math.sqrt(config.n_states))
                 if config.n_states > 1

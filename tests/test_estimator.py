@@ -37,7 +37,7 @@ from nmecut.estimator import (
     estimate_cut_expectation,
     exact_expectation,
 )
-from nmecut.experiment import _haar_unitaries, haar_random_unitary
+from nmecut.experiment import _haar_columns, haar_random_unitary
 from nmecut.linalg import H, I2, X, Z, DensityOperator
 from nmecut.qpd import QpdTerm, QuasiProbDecomposition, harada_wire_cut, nme_wire_cut
 from nmecut.states import nme_state
@@ -399,12 +399,8 @@ def test_sampler_and_oracle_share_one_preparation_contract(call, prep, error):
 
 
 def sweep_rows(seed, n):
-    """(n, 2) W|0> rows built as the sweep builds them: one normal draw per stream, one stacked QR."""
-    gen = RandomSource(seed).generator()
-    normals = np.empty((n, 2, 2, 2))
-    for si in range(n):
-        _rekey(gen, seed, si).standard_normal(out=normals[si])
-    return _haar_unitaries(normals)[:, :, 0]
+    """(n, 2) W|0> rows built as the sweep builds them: one normal draw on one stream, normalized row by row."""
+    return _haar_columns(RandomSource(seed).generator(), n)[0]
 
 
 class TestPlusProbabilities:

@@ -11,13 +11,14 @@ from hypothesis import strategies as st
 from helpers import hurwitz_unitary, rank_sum_z, same_bits
 from nmecut.errors import InvalidParameterError
 from nmecut.estimator import RandomSource, RngLike, as_generator, estimate_cut_expectation, exact_expectation
+from nmecut.estimator import _budget, _draw_estimate, _plus_probabilities
 from nmecut.experiment import (
+    STREAM_LAYOUT,
     CsvFormatError,
     ExperimentConfig,
     ExperimentRecord,
+    _haar_columns,
     _haar_unitaries,
-    _sample_stream,
-    _w_stream,
     check_records,
     haar_random_unitary,
     loglog_slope,
@@ -61,6 +62,30 @@ class TestHaarRandomUnitary:
         oracle = np.mean([abs(hurwitz_unitary(oracle_gen)[0, 0]) ** 2 for _ in range(20_000)])
         assert oracle == pytest.approx(0.5, abs=0.02)
         assert mean == pytest.approx(oracle, abs=0.02)
+
+
+class TestHaarColumns:
+    """The sweep's preparations: W|0> of Haar-random W as normalized complex Gaussian rows."""
+
+    def test_bloch_components_are_uniform(self):
+        # Archimedes: each Bloch component of a uniform point on the sphere is
+        # uniform on [-1, 1].  The Kolmogorov-Smirnov distance of 20,000 states at
+        # a fixed seed stays below 1.95/sqrt(n), the 0.1 % critical value.
+        n = 20_000
+        columns, z = _haar_columns(RandomSource(20240901).generator(), n)
+        cross = columns[:, 0].conj() * columns[:, 1]
+        ranks = np.arange(1, n + 1) / n
+        for values in (2.0 * cross.real, 2.0 * cross.imag, z):
+            cdf = np.sort((values + 1.0) / 2.0)
+            distance = max((ranks - cdf).max(), (cdf - (ranks - 1.0 / n)).max())
+            assert distance < 1.95 / math.sqrt(n)
+
+    def test_rows_are_unit_and_z_is_the_exact_expectation(self):
+        # W = [[a, -b*], [b, a*]] is unitary for a unit row (a, b) and has W|0> = (a, b).
+        columns, z = _haar_columns(RandomSource(5).generator(), 200)
+        for (a, b), value in zip(columns, z):
+            w = np.array([[a, -b.conjugate()], [b, a.conjugate()]])
+            assert abs(value - exact_expectation(w, Z)) <= 1e-14
 
 
 def haar_reference(rng: RngLike) -> np.ndarray:
@@ -210,29 +235,32 @@ class TestRunSweep:
 
     @pytest.mark.parametrize("mode", ["stratified", "multinomial"])
     @pytest.mark.parametrize("paired", [True, False])
-    def test_matches_trial_by_trial_reference(self, mode, paired):
-        # Reference sweep from public pieces: one fresh stream per preparation
-        # and per trial.  Budgets of 1-3 shots leave some terms without shots.
+    def test_matches_scalar_reference_on_layout_2_streams(self, mode, paired):
+        # Reference sweep with scalar draws on the same streams: stratified cells
+        # call _draw_estimate per state in order; multinomial cells draw every
+        # state's split first, then each state's binomials.  Budgets of 1-3 shots
+        # leave some terms without shots.
         config = ExperimentConfig(
             f_values=(0.5, 0.8, 1.0), shot_grid=(1, 2, 3, 10, 250), n_states=7,
             seed=2024, mode=mode, paired=paired,
         )
+        assert STREAM_LAYOUT == 2
         expected = []
         for fi, f in enumerate(config.f_values):
             k = k_from_f(f)
             qpd = nme_wire_cut(k)
-            preps = [
-                haar_random_unitary(RandomSource(config.seed, _w_stream(config, fi, si)))
-                for si in range(config.n_states)
-            ]
+            prep_gen = RandomSource(config.seed, _stream_id("prep_paired" if paired else "prep_unpaired", (fi,)))
+            columns, exact = _haar_columns(prep_gen.generator(), config.n_states)
+            p_plus = _plus_probabilities(qpd, columns, Z).tolist()
             for ji, shots in enumerate(config.shot_grid):
-                errors = np.array([
-                    trial_error(
-                        k, preps[si], shots,
-                        RandomSource(config.seed, _sample_stream(fi, ji, si)), mode, qpd,
-                    )
-                    for si in range(config.n_states)
-                ])
+                budget = _budget(qpd, shots, mode)
+                gen = RandomSource(config.seed, _stream_id("cell", (fi, ji))).generator()
+                if mode == "stratified":
+                    estimates = [_draw_estimate(budget, row, gen) for row in p_plus]
+                else:
+                    splits = [gen.multinomial(shots, budget.probabilities).tolist() for _ in p_plus]
+                    estimates = [multinomial_estimate(budget, split, row, gen) for split, row in zip(splits, p_plus)]
+                errors = np.abs(np.array(estimates) - exact)
                 expected.append(
                     ExperimentRecord(
                         f=f, k=k, shots=shots, avg_error=float(errors.mean()),
@@ -241,6 +269,15 @@ class TestRunSweep:
                     )
                 )
         assert run_sweep(config) == expected
+
+
+def multinomial_estimate(budget, split, p_plus, gen):
+    """_draw_estimate's multinomial recombination for a split drawn beforehand: scalar binomials in term order."""
+    total = 0.0
+    for weight, n, p in zip(budget.weights, split, p_plus):
+        if n:
+            total += weight * (2.0 * gen.binomial(n, p) - n)
+    return total / budget.total
 
 
 class TestConfigFromMapping:
@@ -302,30 +339,46 @@ class TestConfigFromMapping:
 # Index bounds enforced when an ExperimentConfig is constructed.
 _F_INDEX = st.integers(0, 2**16 - 1)
 _SHOT_INDEX = st.integers(0, 2**16 - 1)
-_STATE_INDEX = st.integers(0, 2**24 - 1)
-# (role, indices) -> stream id; paired preparations ignore the f index by design.
+# (family, indices) -> stream id; the paired preparation stream serves every f.
 _STREAM_KEYS = st.one_of(
-    st.tuples(st.just("w_paired"), st.tuples(_STATE_INDEX)),
-    st.tuples(st.just("w_unpaired"), st.tuples(_F_INDEX, _STATE_INDEX)),
-    st.tuples(st.just("sample"), st.tuples(_F_INDEX, _SHOT_INDEX, _STATE_INDEX)),
+    st.tuples(st.just("prep_paired"), st.tuples(_F_INDEX)),
+    st.tuples(st.just("prep_unpaired"), st.tuples(_F_INDEX)),
+    st.tuples(st.just("cell"), st.tuples(_F_INDEX, _SHOT_INDEX)),
 )
 
 
-def _stream_id(role, indices):
-    if role == "w_paired":
-        return _w_stream(ExperimentConfig(paired=True), 0, indices[0])
-    if role == "w_unpaired":
-        return _w_stream(ExperimentConfig(paired=False), *indices)
-    return _sample_stream(*indices)
+def _stream_id(family, indices):
+    """Stream layout 2, written out: one key per set of preparations and one per (f, shots) cell."""
+    if family == "prep_paired":
+        return 1 << 40
+    if family == "prep_unpaired":
+        return (1 << 41) + indices[0]
+    f_index, shot_index = indices
+    return (1 << 62) + (f_index << 16) + shot_index
 
 
 class TestStreamKeys:
     @settings(max_examples=300, deadline=None)
     @given(a=_STREAM_KEYS, b=_STREAM_KEYS)
-    def test_keys_are_injective_across_roles(self, a, b):
+    def test_keys_are_injective_across_families(self, a, b):
         id_a, id_b = _stream_id(*a), _stream_id(*b)
         assert 0 <= id_a < 2**64
-        assert (id_a == id_b) == (a == b)
+        same = a == b or a[0] == b[0] == "prep_paired"
+        assert (id_a == id_b) == same
+
+    def test_families_fill_disjoint_ranges(self):
+        # Each key grows with its indices, so the extreme indices bound each family.
+        top = 2**16 - 1
+        ranges = sorted(
+            (_stream_id(family, low), _stream_id(family, high))
+            for family, low, high in [
+                ("prep_paired", (0,), (top,)),
+                ("prep_unpaired", (0,), (top,)),
+                ("cell", (0, 0), (top, top)),
+            ]
+        )
+        assert all(hi_a < lo_b for (_, hi_a), (lo_b, _) in zip(ranges, ranges[1:]))
+        assert 0 <= ranges[0][0] and ranges[-1][1] < 2**64
 
 
 class TestSweepInvariants:
