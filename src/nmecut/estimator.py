@@ -197,7 +197,7 @@ def _draw_cell(budget: _Budget, p_plus: np.ndarray, gen: np.random.Generator) ->
     stratified = budget.allocation is not None
     shots = budget.allocation if stratified else gen.multinomial(budget.total, budget.probabilities, size=len(p_plus))
     outcome_sums = 2.0 * gen.binomial(shots, p_plus) - shots
-    # A term without shots adds weight * 0.0 to a sum that is never -0.0, which skipping it would too.
+    # A term without shots adds weight * 0.0, which leaves a sum that is never -0.0 as skipping it would.
     means = outcome_sums / np.maximum(shots, 1) if stratified else outcome_sums
     total = np.zeros(len(p_plus))
     for weight, column in zip(budget.weights, means.T):

@@ -214,7 +214,7 @@ class TestRunSweep:
             ExperimentConfig(seed=seed)
 
     def test_config_bounds_keep_stream_keys_disjoint(self):
-        # Index fields are packed into 24/16/16-bit slots of the stream id.
+        # The f and shot indices fill 16-bit slots of the cell stream id, and n_states is capped at 2**24.
         ExperimentConfig(n_states=2**24, shot_grid=tuple(range(1, 2**16 + 1)))
         with pytest.raises(InvalidParameterError):
             ExperimentConfig(n_states=2**24 + 1)
