@@ -249,8 +249,8 @@ class TestRunSweep:
         for fi, f in enumerate(config.f_values):
             k = k_from_f(f)
             qpd = nme_wire_cut(k)
-            prep_gen = RandomSource(config.seed, _stream_id("prep_paired" if paired else "prep_unpaired", (fi,)))
-            columns, exact = _haar_columns(prep_gen.generator(), config.n_states)
+            prep_source = RandomSource(config.seed, _stream_id("prep_paired" if paired else "prep_unpaired", (fi,)))
+            columns, exact = _haar_columns(prep_source.generator(), config.n_states)
             p_plus = _plus_probabilities(qpd, columns, Z).tolist()
             for ji, shots in enumerate(config.shot_grid):
                 budget = _budget(qpd, shots, mode)
