@@ -140,9 +140,10 @@ class _Budget:
     """What one estimate needs of (decomposition, total shots, mode), whatever the preparation."""
 
     total: int
-    allocation: tuple[int, ...] | None  # stratified split; None draws a multinomial split
-    probabilities: np.ndarray  # term probabilities |c_i| / kappa
-    weights: tuple[float, ...]  # c_i (stratified) or sign(c_i) * kappa (multinomial)
+    allocation: tuple[int, ...] | None  # stratified split; None draws one count of +1 signed outcomes
+    weights: tuple[float, ...]  # c_i (stratified) or alpha_i = c_i / kappa (multinomial)
+    beta: float = 0.0  # multinomial: sum of |c_i| / kappa over c_i < 0
+    kappa: float = 1.0
 
 
 def _budget(qpd: QuasiProbDecomposition, total_shots: int, mode: str) -> _Budget:
@@ -151,11 +152,12 @@ def _budget(qpd: QuasiProbDecomposition, total_shots: int, mode: str) -> _Budget
         raise ZeroShotsError(f"total_shots must be >= 1, got {_shown(total_shots)}")
     if mode not in MODES:
         raise InvalidParameterError(f"mode must be one of {MODES}, got {mode!r}")
+    coefficients = [float(t.coefficient) for t in qpd.terms]
     if mode == "stratified":
-        allocation = allocate_shots(qpd, total_shots)
-        weights = tuple(float(t.coefficient) for t in qpd.terms)
-        return _Budget(total_shots, allocation, qpd.probabilities, weights)
-    return _Budget(total_shots, None, qpd.probabilities, tuple((qpd.signs * qpd.kappa).tolist()))
+        return _Budget(total_shots, allocate_shots(qpd, total_shots), tuple(coefficients))
+    kappa = qpd.kappa
+    beta = sum(-c for c in coefficients if c < 0) / kappa
+    return _Budget(total_shots, None, tuple(c / kappa for c in coefficients), beta, kappa)
 
 
 def _plus_probabilities(qpd: QuasiProbDecomposition, columns: np.ndarray, obs: Matrix) -> np.ndarray:
@@ -174,35 +176,49 @@ def _plus_probabilities(qpd: QuasiProbDecomposition, columns: np.ndarray, obs: M
     return np.clip(p_plus, 0.0, 1.0)
 
 
+def _draw_signed(budget: _Budget, p_plus_columns: Sequence, gen: np.random.Generator):
+    """kappa (2M - N) / N for M ~ Binomial(N, P+), the count of +1 signed outcomes (multinomial mode).
+
+    A shot picks term i with probability |c_i| / kappa and reports sign(c_i) times its +/-1
+    outcome, which is +1 with probability P+ = beta + sum_i alpha_i p_i.  P+ is summed left to
+    right from beta over the term columns (floats, or arrays of rows) and clipped for ulp overshoot.
+    """
+    p = budget.beta
+    for alpha, column in zip(budget.weights, p_plus_columns):
+        p = p + alpha * column
+    count = gen.binomial(budget.total, np.clip(p, 0.0, 1.0))
+    return budget.kappa * (2.0 * count - budget.total) / budget.total
+
+
 def _draw_estimate(budget: _Budget, p_plus: Sequence[float], gen: np.random.Generator) -> float:
     """One signed recombination of binomial branch counts for checked inputs."""
-    stratified = budget.allocation is not None
-    shots = budget.allocation if stratified else gen.multinomial(budget.total, budget.probabilities).tolist()
+    if budget.allocation is None:
+        return _draw_signed(budget, p_plus, gen)
     # Terms without shots draw nothing.  The sum runs left to right from 0.0 in plain
     # float adds, as in `_draw_cell`; tests/data/golden_estimates.csv pins these bits.
     total = 0.0
-    for weight, n, p in zip(budget.weights, shots, p_plus):
+    for weight, n, p in zip(budget.weights, budget.allocation, p_plus):
         if n:
-            outcome_sum = 2.0 * gen.binomial(n, p) - n
-            total += weight * (outcome_sum / n) if stratified else weight * outcome_sum
-    return total if stratified else total / budget.total
+            total += weight * ((2.0 * gen.binomial(n, p) - n) / n)
+    return total
 
 
 def _draw_cell(budget: _Budget, p_plus: np.ndarray, gen: np.random.Generator) -> np.ndarray:
-    """One estimate per row of an (n, terms) probability table; multinomial splits are drawn first.
+    """One estimate per row of an (n, terms) probability table.
 
     The binomial array draw consumes `gen` as scalar draws in row order would, and rows are summed
     as `_draw_estimate` sums, so each row has the bits of those scalar draws.
     """
-    stratified = budget.allocation is not None
-    shots = budget.allocation if stratified else gen.multinomial(budget.total, budget.probabilities, size=len(p_plus))
+    if budget.allocation is None:
+        return _draw_signed(budget, p_plus.T, gen)
+    shots = budget.allocation
     outcome_sums = 2.0 * gen.binomial(shots, p_plus) - shots
     # A term without shots adds weight * 0.0, which leaves a sum that is never -0.0 as skipping it would.
-    means = outcome_sums / np.maximum(shots, 1) if stratified else outcome_sums
+    means = outcome_sums / np.maximum(shots, 1)
     total = np.zeros(len(p_plus))
     for weight, column in zip(budget.weights, means.T):
         total += weight * column
-    return total if stratified else total / budget.total
+    return total
 
 
 def estimate_cut_expectation(
@@ -220,10 +236,11 @@ def estimate_cut_expectation(
     with the exact probability p_i of measuring +1 after its channel.
     stratified: the budget is split proportionally to the coefficients and
     each branch is sampled with its share; the estimate is sum_i c_i est_i.
-    multinomial: every shot first draws a term index with probability p_i,
+    multinomial: every shot draws a term index with probability |c_i|/kappa,
     then a single +/-1 outcome weighted by sign(c_i) * kappa; the mean over
-    all shots is returned.  Both are unbiased for the exact expectation
-    whenever the decomposition reconstructs the identity.
+    all shots is returned.  The signed outcomes are iid, so the whole estimate
+    is drawn as one binomial count of +1 signed outcomes.  Both are unbiased
+    for the exact expectation whenever the decomposition reconstructs the identity.
     """
     budget = _budget(_instance(qpd, QuasiProbDecomposition), total_shots, mode)
     obs = _pm_one_observable(observable, qpd.dim)

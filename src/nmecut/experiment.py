@@ -44,10 +44,11 @@ SLOPE_RANGE = (-0.65, -0.35)
 # Shot threshold above which the f-ordering must hold strictly.
 ORDERING_MIN_SHOTS = 1000
 
-# Version of the sweep's stream keys.  Layout 2: one stream per set of preparations, _W_ROLE when
-# paired and _W_UNPAIRED_ROLE + f index when not, and one per (f, shots) cell, _SAMPLE_ROLE + (f index
+# Version of the sweep's streams.  Keys: one stream per set of preparations, _W_ROLE when paired and
+# _W_UNPAIRED_ROLE + f index when not, and one per (f, shots) cell, _SAMPLE_ROLE + (f index
 # << _INDEX_BITS) + shot index.  The config keeps both indices in range, so the families are disjoint.
-STREAM_LAYOUT = 2
+# Layout 3 keeps layout 2's keys; only multinomial draws differ (one binomial per estimate).
+STREAM_LAYOUT = 3
 _W_ROLE = 1 << 40
 _W_UNPAIRED_ROLE = 1 << 41
 _SAMPLE_ROLE = 1 << 62

@@ -1,5 +1,6 @@
 """Tests for shot allocation and the Monte Carlo estimator."""
 
+import itertools
 import math
 from pathlib import Path
 
@@ -30,6 +31,7 @@ from nmecut.estimator import (
     MAX_SHOTS,
     MODES,
     RandomSource,
+    _budget,
     _plus_probabilities,
     _pm_one_observable,
     _rekey,
@@ -369,6 +371,59 @@ class TestEstimateCutExpectation:
             estimate_cut_expectation(
                 nme_wire_cut(0.5), prep, observable, 10, RandomSource(0, 0), mode=mode
             )
+
+
+def signed_count_pmf(coefficients, p_plus, n):
+    """Pmf of the +1 signed-outcome count of n multinomial shots, enumerated split by split.
+
+    A split (n_i) of the shots over the terms has multinomial probability with weights
+    |c_i| / kappa.  Given the split, term i's +1 count b_i is Binomial(n_i, p_i), and a shot
+    on a negative term reports the opposite sign, so the term adds n_i - b_i, not b_i.
+    """
+    kappa = sum(abs(c) for c in coefficients)
+    pmf = [0.0] * (n + 1)
+    for split in itertools.product(range(n + 1), repeat=len(coefficients)):
+        if sum(split) != n:
+            continue
+        weight = math.factorial(n)
+        for c, ni in zip(coefficients, split):
+            weight *= (abs(c) / kappa) ** ni / math.factorial(ni)
+        for counts in itertools.product(*(range(ni + 1) for ni in split)):
+            prob, m = weight, 0
+            for c, ni, b, p in zip(coefficients, split, counts, p_plus):
+                prob *= math.comb(ni, b) * p**b * (1.0 - p) ** (ni - b)
+                m += b if c > 0 else ni - b
+            pmf[m] += prob
+    return pmf
+
+
+def random_signed_decomposition(gen):
+    """1-4 terms with coefficients drawn from [-2, 2], the last one making the sum 1."""
+    head = gen.uniform(-2.0, 2.0, size=int(gen.integers(0, 4))).tolist()
+    coefficients = [*head, 1.0 - sum(head)]
+    return QuasiProbDecomposition(tuple(QpdTerm(c, unitary_channel(I2)) for c in coefficients))
+
+
+class TestSignedCountIdentity:
+    """Multinomial mode draws the count M of +1 signed outcomes as one Binomial(N, P+)."""
+
+    CASES = {
+        "harada": lambda gen: harada_wire_cut(),
+        "nme-0.5": lambda gen: nme_wire_cut(0.5),
+        **{f"random-{i}": random_signed_decomposition for i in range(24)},
+    }
+
+    @pytest.mark.parametrize("seed, case", enumerate(CASES), ids=list(CASES))
+    def test_enumerated_pmf_is_binomial_in_the_budget_probability(self, seed, case):
+        gen = np.random.default_rng(seed)
+        qpd = self.CASES[case](gen)
+        coefficients = [t.coefficient for t in qpd.terms]
+        for n in range(1, 7):
+            p_plus = gen.uniform(0.0, 1.0, size=len(coefficients)).tolist()
+            budget = _budget(qpd, n, "multinomial")
+            p = budget.beta + sum(alpha * q for alpha, q in zip(budget.weights, p_plus))
+            binomial = [math.comb(n, m) * p**m * (1.0 - p) ** (n - m) for m in range(n + 1)]
+            assert np.abs(np.subtract(signed_count_pmf(coefficients, p_plus, n), binomial)).max() <= 1e-12
 
 
 @pytest.mark.parametrize(

@@ -235,16 +235,15 @@ class TestRunSweep:
 
     @pytest.mark.parametrize("mode", ["stratified", "multinomial"])
     @pytest.mark.parametrize("paired", [True, False])
-    def test_matches_scalar_reference_on_layout_2_streams(self, mode, paired):
-        # Reference sweep with scalar draws on the same streams: stratified cells
-        # call _draw_estimate per state in order; multinomial cells draw every
-        # state's split first, then each state's binomials.  Budgets of 1-3 shots
-        # leave some terms without shots.
+    def test_matches_scalar_reference_on_layout_3_streams(self, mode, paired):
+        # Reference sweep with scalar draws on the same streams: every cell calls
+        # _draw_estimate per state in order.  Budgets of 1-3 shots leave some
+        # stratified terms without shots.
         config = ExperimentConfig(
             f_values=(0.5, 0.8, 1.0), shot_grid=(1, 2, 3, 10, 250), n_states=7,
             seed=2024, mode=mode, paired=paired,
         )
-        assert STREAM_LAYOUT == 2
+        assert STREAM_LAYOUT == 3
         expected = []
         for fi, f in enumerate(config.f_values):
             k = k_from_f(f)
@@ -255,12 +254,7 @@ class TestRunSweep:
             for ji, shots in enumerate(config.shot_grid):
                 budget = _budget(qpd, shots, mode)
                 gen = RandomSource(config.seed, _stream_id("cell", (fi, ji))).generator()
-                if mode == "stratified":
-                    estimates = [_draw_estimate(budget, row, gen) for row in p_plus]
-                else:
-                    splits = [gen.multinomial(shots, budget.probabilities).tolist() for _ in p_plus]
-                    estimates = [multinomial_estimate(budget, split, row, gen) for split, row in zip(splits, p_plus)]
-                errors = np.abs(np.array(estimates) - exact)
+                errors = np.abs(np.array([_draw_estimate(budget, row, gen) for row in p_plus]) - exact)
                 expected.append(
                     ExperimentRecord(
                         f=f, k=k, shots=shots, avg_error=float(errors.mean()),
@@ -269,15 +263,6 @@ class TestRunSweep:
                     )
                 )
         assert run_sweep(config) == expected
-
-
-def multinomial_estimate(budget, split, p_plus, gen):
-    """_draw_estimate's multinomial recombination for a split drawn beforehand: scalar binomials in term order."""
-    total = 0.0
-    for weight, n, p in zip(budget.weights, split, p_plus):
-        if n:
-            total += weight * (2.0 * gen.binomial(n, p) - n)
-    return total / budget.total
 
 
 class TestConfigFromMapping:
