@@ -86,10 +86,6 @@ class QuasiProbDecomposition:
         """Sampling weights |c_i| / kappa."""
         return np.array([abs(t.coefficient) for t in self.terms]) / self.kappa
 
-    @property
-    def signs(self) -> np.ndarray:
-        return np.array([1.0 if t.coefficient > 0 else -1.0 for t in self.terms])
-
     def describe(self) -> str:
         """Line-oriented plain-text listing: index, coefficient, channel, flag."""
         lines = []

@@ -284,7 +284,6 @@ class TestDecompositionType:
     def test_probabilities_and_signs(self):
         qpd = nme_wire_cut(0.5)
         np.testing.assert_allclose(qpd.probabilities, [5 / 11, 5 / 11, 1 / 11], atol=1e-12)
-        np.testing.assert_array_equal(qpd.signs, [1.0, 1.0, -1.0])
         assert qpd.probabilities.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_rejects_bad_coefficient_sum(self):
