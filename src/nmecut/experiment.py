@@ -44,16 +44,15 @@ SLOPE_RANGE = (-0.65, -0.35)
 # Shot threshold above which the f-ordering must hold strictly.
 ORDERING_MIN_SHOTS = 1000
 
-# Version of the sweep's streams.  Keys: one stream per set of preparations, _W_ROLE when paired and
-# _W_UNPAIRED_ROLE + f index when not, and one per (f, shots) cell, _SAMPLE_ROLE + (f index
-# << _INDEX_BITS) + shot index.  The config keeps both indices in range, so the families are disjoint.
-# Layout 3 keeps layout 2's keys; only multinomial draws differ (one binomial per estimate).
+# Version of the sweep's streams: one per set of preparations, _W_ROLE when paired and _W_UNPAIRED_ROLE + f index
+# when not, and one per (f, shots) cell, _SAMPLE_ROLE + (f index << _INDEX_BITS) + shot index, disjoint for configs
+# in range.  Layout 3 keeps layout 2's keys; only multinomial draws differ (one binomial per estimate).
 STREAM_LAYOUT = 3
 _W_ROLE = 1 << 40
 _W_UNPAIRED_ROLE = 1 << 41
 _SAMPLE_ROLE = 1 << 62
 _INDEX_BITS = 16
-MAX_STATES = 1 << 24  # size cap: each cell holds a few (n_states, terms) arrays
+MAX_STATES = 1 << 22  # 1 GiB budget: <= 191 B/state of peak RSS (getrusage, 2**18 states) + 39 MB is 0.84 GB
 
 
 class CsvFormatError(NmecutError):
@@ -164,21 +163,8 @@ def run_sweep(config: ExperimentConfig) -> list[ExperimentRecord]:
         for ji, shots in enumerate(config.shot_grid):
             _rekey(gen, config.seed, _SAMPLE_ROLE + (fi << _INDEX_BITS) + ji)
             errors = np.abs(_draw_cell(_budget(decomposition, shots, config.mode), p_plus, gen) - exact)
-            std_error = (
-                float(errors.std(ddof=1) / math.sqrt(config.n_states))
-                if config.n_states > 1
-                else 0.0
-            )
-            records.append(
-                ExperimentRecord(
-                    f=f,
-                    k=k,
-                    shots=shots,
-                    avg_error=float(errors.mean()),
-                    std_error=std_error,
-                    n_states=config.n_states,
-                )
-            )
+            std_error = float(errors.std(ddof=1) / math.sqrt(config.n_states)) if config.n_states > 1 else 0.0
+            records.append(ExperimentRecord(f, k, shots, float(errors.mean()), std_error, config.n_states))
     return records
 
 

@@ -181,6 +181,14 @@ class TestExperiment:
         assert code == 2
         assert "0.5" in err
 
+    def test_n_states_above_the_memory_cap_exits_two(self, tmp_path, capsys):
+        code, _, err = run_cli(
+            ["experiment", "--n-states", str(2**22 + 1), "--out", str(tmp_path / "x.csv")], capsys
+        )
+        assert code == 2
+        assert "n_states" in err
+        assert not (tmp_path / "x.csv").exists()
+
     def test_seed_env_var_default(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("NMECUT_SEED", "99")
         args = [

@@ -80,7 +80,7 @@ INTEGER_RANGES = {
         lambda: estimate_cut_expectation(QPD, I2, Z, -3, RandomSource(0)), "total_shots", ZeroShotsError
     ),
     "n_states-zero": (lambda: ExperimentConfig(n_states=0), "n_states", OutOfRangeError),
-    "n_states-above-slot": (lambda: ExperimentConfig(n_states=2**24 + 1), "n_states", OutOfRangeError),
+    "n_states-above-cap": (lambda: ExperimentConfig(n_states=2**22 + 1), "n_states", OutOfRangeError),
     "shot_grid-zero": (lambda: ExperimentConfig(shot_grid=(0, 10)), "shot_grid", OutOfRangeError),
     "shot_grid-above-max": (lambda: ExperimentConfig(shot_grid=(2**49,)), "shot_grid", OutOfRangeError),
     "m-zero": (lambda: m_distillation_norm((1.0, 0.0), 0), "m", OutOfRangeError),

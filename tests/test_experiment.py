@@ -214,10 +214,10 @@ class TestRunSweep:
             ExperimentConfig(seed=seed)
 
     def test_config_bounds_keep_stream_keys_disjoint(self):
-        # The f and shot indices fill 16-bit slots of the cell stream id, and n_states is capped at 2**24.
-        ExperimentConfig(n_states=2**24, shot_grid=tuple(range(1, 2**16 + 1)))
+        # The f and shot indices fill 16-bit slots of the cell stream id; n_states is capped at 2**22 for memory.
+        ExperimentConfig(n_states=2**22, shot_grid=tuple(range(1, 2**16 + 1)))
         with pytest.raises(InvalidParameterError):
-            ExperimentConfig(n_states=2**24 + 1)
+            ExperimentConfig(n_states=2**22 + 1)
         with pytest.raises(InvalidParameterError):
             ExperimentConfig(shot_grid=tuple(range(1, 2**16 + 2)))
         with pytest.raises(InvalidParameterError):
