@@ -152,12 +152,11 @@ def _budget(qpd: QuasiProbDecomposition, total_shots: int, mode: str) -> _Budget
         raise ZeroShotsError(f"total_shots must be >= 1, got {_shown(total_shots)}")
     if mode not in MODES:
         raise InvalidParameterError(f"mode must be one of {MODES}, got {mode!r}")
-    coefficients = [float(t.coefficient) for t in qpd.terms]
+    coefficients = tuple(float(t.coefficient) for t in qpd.terms)
     if mode == "stratified":
-        return _Budget(total_shots, allocate_shots(qpd, total_shots), tuple(coefficients))
-    kappa = qpd.kappa
-    beta = sum(-c for c in coefficients if c < 0) / kappa
-    return _Budget(total_shots, None, tuple(c / kappa for c in coefficients), beta, kappa)
+        return _Budget(total_shots, allocate_shots(qpd, total_shots), coefficients)
+    beta = sum(-c for c in coefficients if c < 0) / qpd.kappa
+    return _Budget(total_shots, None, tuple(c / qpd.kappa for c in coefficients), beta, qpd.kappa)
 
 
 def _plus_probabilities(qpd: QuasiProbDecomposition, columns: np.ndarray, obs: Matrix) -> np.ndarray:
@@ -177,11 +176,10 @@ def _plus_probabilities(qpd: QuasiProbDecomposition, columns: np.ndarray, obs: M
 
 
 def _draw_signed(budget: _Budget, p_plus_columns: Sequence, gen: np.random.Generator):
-    """kappa (2M - N) / N for M ~ Binomial(N, P+), the count of +1 signed outcomes (multinomial mode).
+    """kappa (2M - N) / N, with M ~ Binomial(N, P+) the shots whose signed outcome is +1 (multinomial mode).
 
-    A shot picks term i with probability |c_i| / kappa and reports sign(c_i) times its +/-1
-    outcome, which is +1 with probability P+ = beta + sum_i alpha_i p_i.  P+ is summed left to
-    right from beta over the term columns (floats, or arrays of rows) and clipped for ulp overshoot.
+    A shot picks term i with probability |c_i| / kappa and reports sign(c_i) times its +/-1 outcome, so
+    P+ = beta + sum_i alpha_i p_i, summed over the term columns (floats or row arrays), clipped for ulp overshoot.
     """
     p = budget.beta
     for alpha, column in zip(budget.weights, p_plus_columns):
@@ -199,7 +197,8 @@ def _draw_estimate(budget: _Budget, p_plus: Sequence[float], gen: np.random.Gene
     total = 0.0
     for weight, n, p in zip(budget.weights, budget.allocation, p_plus):
         if n:
-            total += weight * ((2.0 * gen.binomial(n, p) - n) / n)
+            outcome_sum = 2.0 * gen.binomial(n, p) - n
+            total += weight * (outcome_sum / n)
     return total
 
 
@@ -236,11 +235,10 @@ def estimate_cut_expectation(
     with the exact probability p_i of measuring +1 after its channel.
     stratified: the budget is split proportionally to the coefficients and
     each branch is sampled with its share; the estimate is sum_i c_i est_i.
-    multinomial: every shot draws a term index with probability |c_i|/kappa,
-    then a single +/-1 outcome weighted by sign(c_i) * kappa; the mean over
-    all shots is returned.  The signed outcomes are iid, so the whole estimate
-    is drawn as one binomial count of +1 signed outcomes.  Both are unbiased
-    for the exact expectation whenever the decomposition reconstructs the identity.
+    multinomial: every shot draws term i with probability |c_i|/kappa and a
+    +/-1 outcome weighted by sign(c_i) * kappa; the shots' mean, drawn as one
+    binomial count of +1 signed outcomes, is returned.  Both are unbiased for
+    the exact expectation whenever the decomposition reconstructs the identity.
     """
     budget = _budget(_instance(qpd, QuasiProbDecomposition), total_shots, mode)
     obs = _pm_one_observable(observable, qpd.dim)
