@@ -175,7 +175,7 @@ def _plus_probabilities(qpd: QuasiProbDecomposition, columns: np.ndarray, obs: M
     return np.clip(p_plus, 0.0, 1.0)
 
 
-def _draw_signed(budget: _Budget, p_plus_columns: Sequence, gen: np.random.Generator):
+def _draw_signed(budget: _Budget, p_plus_columns: Sequence, gen: np.random.Generator) -> float | np.ndarray:
     """kappa (2M - N) / N, with M ~ Binomial(N, P+) the shots whose signed outcome is +1 (multinomial mode).
 
     A shot picks term i with probability |c_i| / kappa and reports sign(c_i) times its +/-1 outcome, so
