@@ -52,7 +52,9 @@ _W_ROLE = 1 << 40
 _W_UNPAIRED_ROLE = 1 << 41
 _SAMPLE_ROLE = 1 << 62
 _INDEX_BITS = 16
-MAX_STATES = 1 << 22  # 1 GiB budget: <= 191 B/state of peak RSS (getrusage, 2**18 states) + 39 MB is 0.84 GB
+# Memory cap for a 1 GiB budget: peak RSS grows <= 198 B per state (getrusage at 2**18 states, both modes,
+# paired and unpaired), so 2**22 states need about 0.87 GB with the interpreter's 39 MB.
+MAX_STATES = 1 << 22
 
 
 class CsvFormatError(NmecutError):
