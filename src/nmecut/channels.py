@@ -6,13 +6,14 @@ the teleportation channel for any two-qubit `DensityOperator` resource in
 both its analytic (Bell-overlap) and explicit-circuit forms.  A channel's Kraus
 set is one read-only complex (n, out, in) array, so each construction, check
 and contraction is an array operation.  Choi matrices are derived on demand
-and cached; equality of Choi matrices is the canonical channel-equality
-witness used throughout the tests.
+and cached, and the constant measure-and-flip channel is built once; equality
+of Choi matrices is the canonical channel-equality witness used throughout
+the tests.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 import numpy.typing as npt
@@ -113,10 +114,12 @@ def measure_prepare_channel(u: np.ndarray, name: str = "") -> QuantumChannel:
     return QuantumChannel(projectors, name=name or "measure-prepare")
 
 
+@cache
 def measure_prepare_flip_channel() -> QuantumChannel:
     """Computational-basis measurement followed by bit-flipped preparation.
 
     Kraus set {|1><0|, |0><1|}: maps rho to <0|rho|0> |1><1| + <1|rho|1> |0><0|.
+    The channel is immutable, so it is built once and every call returns it.
     """
     return QuantumChannel([[[0, 0], [1, 0]], [[0, 1], [0, 0]]], name="measure-prepare-flip")
 

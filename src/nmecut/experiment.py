@@ -52,8 +52,8 @@ _W_ROLE = 1 << 40
 _W_UNPAIRED_ROLE = 1 << 41
 _SAMPLE_ROLE = 1 << 62
 _INDEX_BITS = 16
-# Memory cap for a 1 GiB budget: peak RSS grows <= 198 B per state (getrusage at 2**18 states, both modes,
-# paired and unpaired), so 2**22 states need about 0.87 GB with the interpreter's 39 MB.
+# Memory cap for a 1 GiB budget: peak RSS grows <= 173 B per state (getrusage at 2**18 states, both modes,
+# paired and unpaired; paired peaks highest), so 2**22 states need about 0.76 GB with the interpreter's 39 MB.
 MAX_STATES = 1 << 22
 
 
@@ -157,6 +157,7 @@ def run_sweep(config: ExperimentConfig) -> list[ExperimentRecord]:
     records: list[ExperimentRecord] = []
     for fi, f in enumerate(config.f_values):
         if fi == 0 or not config.paired:
+            columns = exact = p_plus = errors = None  # not held while the next set is drawn
             prep_stream = _W_ROLE if config.paired else _W_UNPAIRED_ROLE + fi
             columns, exact = _haar_columns(_rekey(gen, config.seed, prep_stream), config.n_states)
         k = k_from_f(f)

@@ -13,6 +13,7 @@ Reconstruction of the identity is checked through Choi matrices.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from math import inf, isfinite
 
 import numpy as np
@@ -108,11 +109,12 @@ def _coefficients(k: float) -> tuple[float, float]:
     return a, b
 
 
+@cache
 def harada_wire_cut() -> QuasiProbDecomposition:
     """Entanglement-free optimal cut of the identity wire (kappa = 3).
 
     Measure-and-prepare in the H and SH bases, minus the measure-and-flip
-    channel.
+    channel.  The decomposition is immutable, so it is built once.
     """
     terms = (
         QpdTerm(1.0, measure_prepare_channel(U1, name="measure-prepare[H]")),

@@ -5,7 +5,8 @@ Covers the Bell basis, the one-parameter family of partially entangled pairs
     |phi_k> = K (|00> + k |11>),   K = 1 / sqrt(1 + k^2),   k >= 0,
 
 Schmidt decomposition of any two-qubit `PureState`, the entanglement
-overlap monotone f, and the underlying distillation norm.  The family is
+overlap monotone f (from the amplitude determinant), and the distillation
+norm that, with the Schmidt decomposition, is its test oracle.  The family is
 separable at k = 0 and maximally entangled at k = 1; f interpolates between
 1/2 and 1 accordingly via f = (k+1)^2 / (2 (k^2+1)).
 """
@@ -35,7 +36,7 @@ class SchmidtForm:
 
     `coefficients` are the descending nonnegative pair (p0, p1) with
     p0^2 + p1^2 = 1; the bases are orthonormal single-qubit states such that
-    p0 |xi0>|zeta0> + p1 |xi1>|zeta1| reconstructs the source state.
+    p0 |xi0>|zeta0> + p1 |xi1>|zeta1> reconstructs the source state.
     """
 
     coefficients: tuple[float, float]
@@ -129,14 +130,22 @@ def m_distillation_norm(coeffs: Sequence[float], m: int) -> float:
 
 
 def overlap_f_pure(psi: PureState) -> float:
-    """Entanglement monotone f of a two-qubit pure state.
+    """Entanglement monotone f of a two-qubit pure state, from its amplitude determinant.
 
-    Equals half the squared 2-distillation norm of the Schmidt coefficients;
-    ranges from 1/2 (product state) to 1 (maximally entangled).
+    With M[a, b] = psi_{2a+b} the 2x2 amplitude matrix and p0 >= p1 its
+    singular values (the Schmidt coefficients), f = (p0 + p1)^2 / 2 is half
+    the squared 2-distillation norm.  Since p0^2 + p1^2 = ||psi||^2 and
+    p0 p1 = |det M|, this is
+
+        f = (||psi||^2 + 2 |psi_00 psi_11 - psi_01 psi_10|) / 2 = (1 + C) / 2,
+
+    C the concurrence, with no SVD.  ||psi||^2 is kept rather than 1, so the
+    value equals the Schmidt form even off unit norm within NORM_TOL.  Ranges
+    from 1/2 (product state) to 1 (maximally entangled).
     """
-    form = schmidt_decompose(psi)
-    nrm = m_distillation_norm(form.coefficients, 2)
-    return 0.5 * nrm * nrm
+    a0, a1, a2, a3 = check_two_qubit(psi, PureState).amplitudes.tolist()
+    norm_sq = abs(a0) ** 2 + abs(a1) ** 2 + abs(a2) ** 2 + abs(a3) ** 2
+    return 0.5 * (norm_sq + 2.0 * abs(a0 * a3 - a1 * a2))
 
 
 # Both checks compare before converting an integer: float() of one beyond the

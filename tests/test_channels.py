@@ -241,6 +241,12 @@ class TestMeasurePrepareChannels:
         out = measure_prepare_flip_channel().act(DensityOperator(np.full((2, 2), 0.5)).matrix)
         np.testing.assert_allclose(out, expected, atol=1e-15)
 
+    def test_flip_channel_is_built_once_and_read_only(self):
+        ch = measure_prepare_flip_channel()
+        assert measure_prepare_flip_channel() is ch
+        assert not ch.kraus.flags.writeable
+        assert not ch.choi.flags.writeable
+
     def test_xy_mixture_equals_measure_flip(self):
         # (X rho X + Y rho Y)/2 and measure-then-flip are the same channel.
         mixture = QuantumChannel([X / np.sqrt(2), Y / np.sqrt(2)])

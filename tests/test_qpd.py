@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from nmecut.errors import DimensionMismatchError, InvalidParameterError, OutOfRangeError
-from nmecut.channels import QuantumChannel, unitary_channel
+from nmecut.channels import QuantumChannel, measure_prepare_flip_channel, unitary_channel
 from nmecut.linalg import I2, PAULIS
 from nmecut.qpd import (
     QpdTerm,
@@ -66,6 +66,13 @@ class TestHaradaWireCut:
     def test_no_term_consumes_resource(self):
         assert not any(t.consumes_resource for t in harada_wire_cut().terms)
 
+    def test_built_once_with_read_only_channels(self):
+        qpd = harada_wire_cut()
+        assert harada_wire_cut() is qpd
+        for t in qpd.terms:
+            assert not t.channel.kraus.flags.writeable
+            assert not t.channel.choi.flags.writeable
+
 
 class TestNmeWireCut:
     def test_maximally_entangled_is_pure_teleportation(self):
@@ -93,6 +100,12 @@ class TestNmeWireCut:
     def test_resource_flags(self):
         qpd = nme_wire_cut(0.5)
         assert [t.consumes_resource for t in qpd.terms] == [True, True, False]
+
+    def test_negative_term_is_the_one_flip_channel(self):
+        flip = measure_prepare_flip_channel()
+        assert nme_wire_cut(0.5).terms[-1].channel is flip
+        assert nme_wire_cut(0.25).terms[-1].channel is flip
+        assert harada_wire_cut().terms[-1].channel is flip
 
     def test_invalid_parameter(self):
         with pytest.raises(InvalidParameterError):

@@ -13,6 +13,7 @@ from helpers import hurwitz_unitary, random_pure_vector
 from nmecut.errors import InvalidParameterError, OutOfRangeError
 from nmecut.linalg import H, I2, PureState, kron
 from nmecut.channels import unitary_channel
+from nmecut.experiment import DEFAULT_F_VALUES
 from nmecut.qpd import QpdTerm, nme_wire_cut
 from nmecut.states import (
     bell_state,
@@ -236,6 +237,67 @@ class TestOverlapF:
             assert overlap_f_pure(rotated) == pytest.approx(
                 overlap_f_pure(psi), abs=1e-10
             )
+
+
+def schmidt_oracle_f(psi: PureState) -> float:
+    """Oracle for f: half the squared 2-distillation norm of the SVD Schmidt coefficients."""
+    nrm = m_distillation_norm(schmidt_decompose(psi).coefficients, 2)
+    return 0.5 * nrm * nrm
+
+
+def assert_matches_schmidt_oracle(psi: PureState, tol: float = 1e-12) -> None:
+    f = overlap_f_pure(psi)
+    assert abs(f - schmidt_oracle_f(psi)) <= tol, psi.amplitudes
+
+
+class TestOverlapFAgainstSchmidtOracle:
+    """The determinant form of f against the Schmidt decomposition it replaces."""
+
+    def test_random_complex_states(self):
+        rng = np.random.default_rng(2101)
+        for _ in range(400):
+            assert_matches_schmidt_oracle(PureState(random_pure_vector(rng, 4)))
+
+    def test_random_real_states(self):
+        rng = np.random.default_rng(2102)
+        for _ in range(200):
+            v = rng.normal(size=4)
+            assert_matches_schmidt_oracle(PureState(v / np.linalg.norm(v)))
+
+    def test_product_states(self):
+        rng = np.random.default_rng(2103)
+        for _ in range(100):
+            psi = PureState(np.kron(random_pure_vector(rng, 2), random_pure_vector(rng, 2)))
+            assert overlap_f_pure(psi) == pytest.approx(0.5, abs=1e-12)
+            assert_matches_schmidt_oracle(psi)
+
+    def test_near_maximal_states(self):
+        rng = np.random.default_rng(2104)
+        for sigma in ("I", "X", "Y", "Z"):
+            assert overlap_f_pure(bell_state(sigma)) == pytest.approx(1.0, abs=1e-12)
+            assert_matches_schmidt_oracle(bell_state(sigma))
+        for eps in (1e-3, 1e-6, 1e-9, 1e-12):
+            for _ in range(20):
+                u = kron(hurwitz_unitary(rng), hurwitz_unitary(rng))
+                v = u @ PHI_VECTOR + eps * random_pure_vector(rng, 4)
+                assert_matches_schmidt_oracle(PureState(v / np.linalg.norm(v)))
+
+    @pytest.mark.parametrize("k", [1e-300, 1e-150, 1e-8, 0.1, 0.5, 0.999, 1.0, 7.0, 1e8, 1e150])
+    def test_family_and_its_mirror(self, k):
+        assert_matches_schmidt_oracle(nme_state(k))
+        assert_matches_schmidt_oracle(nme_state(1.0 / k))
+        assert overlap_f_pure(nme_state(k)) == pytest.approx(f_closed_form(min(k, 1.0 / k)), abs=1e-12)
+
+    def test_keeps_the_norm_off_unit_within_tolerance(self):
+        # ||psi||^2 = 1 + 1.8e-12: taking it as 1 would be 9e-13 off the Schmidt form.
+        rng = np.random.default_rng(2105)
+        for _ in range(20):
+            psi = PureState(random_pure_vector(rng, 4) * (1.0 + 9e-13))
+            assert_matches_schmidt_oracle(psi, tol=1e-14)
+
+    def test_round_trip_through_k_from_f(self):
+        for f in list(DEFAULT_F_VALUES) + list(np.linspace(0.5, 1.0, 1001)):
+            assert abs(overlap_f_pure(nme_state(k_from_f(f))) - f) <= 1e-12, f
 
 
 def k_from_f_bisect(f: float) -> float:
