@@ -251,7 +251,7 @@ def assert_matches_schmidt_oracle(psi: PureState, tol: float = 1e-12) -> None:
 
 
 class TestOverlapFAgainstSchmidtOracle:
-    """The determinant form of f against the Schmidt decomposition it replaces."""
+    """The determinant form of f against the Schmidt-coefficient form, its oracle."""
 
     def test_random_complex_states(self):
         rng = np.random.default_rng(2101)
