@@ -3,20 +3,20 @@
 Builds the channels the wire-cut decompositions are made of: unitary
 conjugations, basis measure-and-prepare maps, the measure-and-flip map, and
 the teleportation channel for any two-qubit `DensityOperator` resource in
-both its analytic (Bell-overlap) and explicit-circuit forms.  A channel's Kraus
-set is one read-only complex (n, out, in) array, so each construction, check
-and contraction is an array operation.  Choi matrices are derived on demand
-and cached, and the constant measure-and-flip channel is built once; equality
-of Choi matrices is the canonical channel-equality witness used throughout
-the tests.
+both its analytic (Bell-overlap) and explicit-circuit forms.  A channel is a
+frozen value owning one read-only complex (n, out, in) Kraus array, which only
+this module reads: each construction, check and contraction (`act`, `dual`,
+`choi`) is an array operation.  Choi matrices are derived on demand and cached,
+and the constant measure-and-flip channel is built once; equality of Choi
+matrices is the canonical channel-equality witness used throughout the tests.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from functools import cache, cached_property
 
 import numpy as np
-import numpy.typing as npt
 
 from .errors import DimensionMismatchError, InvalidParameterError, NotTracePreservingError
 from .linalg import (
@@ -48,17 +48,23 @@ _CORRECTIONS = np.array([[I2, X], [Z, Z @ X]])
 _PAULI_STACK = np.array(list(PAULIS.values()))
 
 
+@dataclass(frozen=True, eq=False)
 class QuantumChannel:
     """Completely positive trace-preserving map stored as one Kraus array.
 
     `kraus` is a read-only complex (n, out_dim, in_dim) array, copied from
-    the caller's stack of operators.  Instances are immutable after
-    construction; the Choi matrix is computed lazily and cached (idempotent,
-    safe under concurrent first access).
+    the caller's stack of operators.  The channel is frozen, so it can be shared.
+    It maps states (`act`) and observables (`dual`); the Choi matrix is computed
+    lazily and cached (idempotent, safe under concurrent first access).
     """
 
-    def __init__(self, kraus: npt.ArrayLike, name: str = "") -> None:
-        stack = as_matrix(kraus, ndim=3, name="Kraus operators")
+    kraus: Matrix = field(repr=False)
+    name: str = ""
+    in_dim: int = field(init=False)
+    out_dim: int = field(init=False)
+
+    def __post_init__(self) -> None:
+        stack = as_matrix(self.kraus, ndim=3, name="Kraus operators")
         if not stack.size:  # no operator, or operators of a zero dimension
             raise InvalidParameterError(f"a channel needs at least one nonempty Kraus operator, got shape {stack.shape}")
         _, out_dim, in_dim = stack.shape
@@ -69,14 +75,17 @@ class QuantumChannel:
                 f"max |sum(K^dag K) - I| = {residual:.3e} > {TRACE_PRESERVING_TOL}"
             )
         stack.flags.writeable = False
-        self.kraus = stack
-        self.in_dim = in_dim
-        self.out_dim = out_dim
-        self.name = name
+        object.__setattr__(self, "kraus", stack)
+        object.__setattr__(self, "in_dim", in_dim)
+        object.__setattr__(self, "out_dim", out_dim)
 
     def act(self, rho: Matrix) -> Matrix:
         """sum_i K_i rho K_i^dag on a raw (..., in_dim, in_dim) stack of matrices, unchecked."""
         return np.einsum("kij,...jl,kml->...im", self.kraus, rho, self.kraus.conj())
+
+    def dual(self, observable: Matrix) -> Matrix:
+        """sum_i K_i^dag O K_i, the Heisenberg picture of a raw (out_dim, out_dim) observable, unchecked."""
+        return (dagger(self.kraus) @ observable @ self.kraus).sum(axis=0)
 
     @cached_property
     def choi(self) -> Matrix:
@@ -86,10 +95,6 @@ class QuantumChannel:
         j = v.T @ v.conj()
         j.flags.writeable = False
         return j
-
-    def __repr__(self) -> str:
-        label = self.name or "channel"
-        return f"QuantumChannel({label!r}, {len(self.kraus)} Kraus, {self.in_dim}->{self.out_dim})"
 
 
 def unitary_channel(u: np.ndarray, name: str = "") -> QuantumChannel:

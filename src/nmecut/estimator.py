@@ -23,7 +23,7 @@ from .errors import (
     ZeroShotsError,
     _shown,
 )
-from .linalg import Matrix, _instance, _integer, as_matrix, as_unitary, check_hermitian, dagger
+from .linalg import Matrix, _instance, _integer, as_matrix, as_unitary, check_hermitian
 from .qpd import QuasiProbDecomposition
 
 OBSERVABLE_TOL = 1e-10
@@ -163,10 +163,10 @@ def _plus_probabilities(qpd: QuasiProbDecomposition, columns: np.ndarray, obs: M
     """(n, terms) +1 probabilities in [0, 1] for an (n, dim) stack of rows W|0>, checked by the caller.
 
     The rows must be unit vectors on `qpd.dim` levels and O a +/-1 observable.
-    Term i's probability is (1 + <psi|E_i|psi>) / 2, with E_i = sum_K K^dag O K
+    Term i's probability is (1 + <psi|E_i|psi>) / 2, with E_i = `channel.dual(O)`
     the observable in the Heisenberg picture of its channel, built once per call.
     """
-    effects = np.stack([(dagger(t.channel.kraus) @ obs @ t.channel.kraus).sum(axis=0) for t in qpd.terms])
+    effects = np.stack([t.channel.dual(obs) for t in qpd.terms])
     p_plus = 0.5 * (1.0 + np.real(np.einsum("ni,tij,nj->nt", columns.conj(), effects, columns)))
     bad = ((p_plus < -PROBABILITY_TOL) | (p_plus > 1.0 + PROBABILITY_TOL)).any(axis=1)
     if bad.any():

@@ -52,8 +52,8 @@ _W_ROLE = 1 << 40
 _W_UNPAIRED_ROLE = 1 << 41
 _SAMPLE_ROLE = 1 << 62
 _INDEX_BITS = 16
-# Memory cap for a 1 GiB budget: peak RSS grows <= 173 B per state (getrusage at 2**18 states, both modes,
-# paired and unpaired; paired peaks highest), so 2**22 states need about 0.76 GB with the interpreter's 39 MB.
+# Memory cap for a 1 GiB budget: peak RSS grows <= 134 B per state (getrusage at 2**18 states, both modes, paired
+# and unpaired), so 2**22 states need about 0.6 GB with the interpreter's 37 MB; 2**23 would need <= 123 B per state.
 MAX_STATES = 1 << 22
 
 
@@ -119,20 +119,14 @@ class ExperimentRecord:
 
 
 def haar_random_unitary(rng: RngLike) -> np.ndarray:
-    """Haar-distributed 2x2 unitary via QR of a complex Gaussian matrix."""
-    return _haar_unitaries(as_generator(rng).standard_normal((1, 2, 2, 2)))[0]
+    """Haar-distributed 2x2 unitary via QR of a complex Gaussian matrix.
 
-
-def _haar_unitaries(normals: np.ndarray) -> np.ndarray:
-    """Haar unitaries from (n, 2, 2, 2) standard normals by one stacked QR.
-
-    normals[i, 0] and normals[i, 1] are the real and imaginary parts of the
-    i-th unit-variance complex Gaussian matrix.  Rephasing each R diagonal to
-    unit modulus removes the bare QR's bias.
+    Rephasing R's diagonal to unit modulus removes the bare QR's bias.
     """
-    q, r = np.linalg.qr((normals[:, 0] + 1j * normals[:, 1]) / math.sqrt(2.0))
-    diagonal = np.diagonal(r, axis1=1, axis2=2)
-    return q * (diagonal / np.abs(diagonal))[:, None, :]
+    real, imag = as_generator(rng).standard_normal((2, 2, 2))
+    q, r = np.linalg.qr((real + 1j * imag) / math.sqrt(2.0))
+    diagonal = np.diag(r)
+    return q * (diagonal / np.abs(diagonal))
 
 
 def _haar_columns(gen: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -157,7 +151,7 @@ def run_sweep(config: ExperimentConfig) -> list[ExperimentRecord]:
     records: list[ExperimentRecord] = []
     for fi, f in enumerate(config.f_values):
         if fi == 0 or not config.paired:
-            columns = exact = p_plus = errors = None  # not held while the next set is drawn
+            columns = exact = None  # not held while the next set is drawn
             prep_stream = _W_ROLE if config.paired else _W_UNPAIRED_ROLE + fi
             columns, exact = _haar_columns(_rekey(gen, config.seed, prep_stream), config.n_states)
         k = k_from_f(f)
@@ -168,6 +162,8 @@ def run_sweep(config: ExperimentConfig) -> list[ExperimentRecord]:
             errors = np.abs(_draw_cell(_budget(decomposition, shots, config.mode), p_plus, gen) - exact)
             std_error = float(errors.std(ddof=1) / math.sqrt(config.n_states)) if config.n_states > 1 else 0.0
             records.append(ExperimentRecord(f, k, shots, float(errors.mean()), std_error, config.n_states))
+            del errors  # not held while the next cell is drawn
+        del p_plus  # not held while the next table is built
     return records
 
 

@@ -1,5 +1,7 @@
 """Tests for the channel algebra and the teleportation constructions."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -312,6 +314,9 @@ def test_kraus_operators_are_immutable(build):
     ch = build()
     with pytest.raises(ValueError):
         ch.kraus[0][0, 0] = 1.0
+    for name, value in (("kraus", np.array([I2])), ("name", "renamed"), ("in_dim", 3)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(ch, name, value)
 
 
 def test_all_constructed_channels_trace_preserving():

@@ -503,6 +503,9 @@ class TestPlusProbabilities:
         rho = columns[:, :, None] * columns.conj()[:, None, :]
         values = np.stack([np.real(np.trace(obs @ ch.act(rho), axis1=1, axis2=2)) for ch in channels], axis=1)
         assert np.abs(table - 0.5 * (1.0 + values)).max() <= 1e-12
+        # tr(O F(rho)) = tr(F*(O) rho): the dual map against the same oracle.
+        duals = np.stack([np.real(np.trace(ch.dual(obs) @ rho, axis1=1, axis2=2)) for ch in channels], axis=1)
+        assert np.abs(duals - values).max() <= 1e-12
 
     @pytest.mark.parametrize(
         "observable",

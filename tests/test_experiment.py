@@ -18,7 +18,6 @@ from nmecut.experiment import (
     ExperimentConfig,
     ExperimentRecord,
     _haar_columns,
-    _haar_unitaries,
     check_records,
     haar_random_unitary,
     loglog_slope,
@@ -47,12 +46,15 @@ class TestHaarRandomUnitary:
     def test_first_entry_moment(self):
         # Haar moment E|W00|^2 = 1/2 in dimension 2; the oracle is an
         # independent angle-parametrized sampler.
-        # The 100,000 matrices come from one stacked draw, which gives the bits
-        # of 100,000 sequential haar_random_unitary calls; the first rows are
-        # checked against those calls.
+        # The 100,000 matrices come from one stacked draw and one stacked QR,
+        # which give the bits of 100,000 sequential haar_random_unitary calls;
+        # the first rows are checked against those calls.
         gen = RandomSource(7, 0).generator()
         samples = 100_000
-        stacked = _haar_unitaries(gen.standard_normal((samples, 2, 2, 2)))
+        normals = gen.standard_normal((samples, 2, 2, 2))
+        q, r = np.linalg.qr((normals[:, 0] + 1j * normals[:, 1]) / math.sqrt(2.0))
+        diagonal = np.diagonal(r, axis1=1, axis2=2)
+        stacked = q * (diagonal / np.abs(diagonal))[:, None, :]
         scalar_gen = RandomSource(7, 0).generator()
         for w in stacked[:5]:
             assert same_bits(w, haar_random_unitary(scalar_gen))
@@ -89,7 +91,7 @@ class TestHaarColumns:
 
 
 def haar_reference(rng: RngLike) -> np.ndarray:
-    """haar_random_unitary as it was before the stacked QR: one draw, one QR, np.diag rephasing."""
+    """A per-matrix Haar reference: two (2, 2) draws, one QR, np.diag rephasing."""
     gen = as_generator(rng)
     ginibre = (gen.standard_normal((2, 2)) + 1j * gen.standard_normal((2, 2))) / math.sqrt(2.0)
     q, r = np.linalg.qr(ginibre)
@@ -98,16 +100,7 @@ def haar_reference(rng: RngLike) -> np.ndarray:
 
 
 class TestStackedHaar:
-    """One QR over a stack gives every state the bits its own QR gives."""
-
-    @settings(max_examples=40, deadline=None)
-    @given(seed=st.integers(0, 2**64 - 1), n=st.integers(1, 50))
-    def test_stacked_qr_matches_per_matrix_qr(self, seed, n):
-        normals = RandomSource(seed).generator().standard_normal((n, 2, 2, 2))
-        stacked = _haar_unitaries(normals)
-        for (re, im), w in zip(normals, stacked):
-            q, r = np.linalg.qr((re + 1j * im) / math.sqrt(2.0))
-            assert same_bits(w, q * (np.diag(r) / np.abs(np.diag(r))))
+    """haar_random_unitary has the reference's bits, from a fresh source and from a running generator."""
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**64 - 1), stream_id=st.integers(0, 2**64 - 1))

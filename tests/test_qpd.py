@@ -1,5 +1,6 @@
 """Tests for the wire-cut decompositions and overhead formulas."""
 
+import dataclasses
 import math
 import warnings
 
@@ -106,6 +107,14 @@ class TestNmeWireCut:
         assert nme_wire_cut(0.5).terms[-1].channel is flip
         assert nme_wire_cut(0.25).terms[-1].channel is flip
         assert harada_wire_cut().terms[-1].channel is flip
+
+    def test_the_shared_flip_channel_cannot_be_renamed(self):
+        # The flip channel is one shared object, so a rename would reach every decomposition's negative term.
+        before = nme_wire_cut(0.5).describe()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            measure_prepare_flip_channel().name = "renamed"
+        assert nme_wire_cut(0.5).describe() == before
+        assert measure_prepare_flip_channel().name == "measure-prepare-flip"
 
     def test_invalid_parameter(self):
         with pytest.raises(InvalidParameterError):
