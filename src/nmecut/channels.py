@@ -24,7 +24,6 @@ from .linalg import (
     H,
     I2,
     NORM_TOL,
-    PAULIS,
     X,
     Z,
     DensityOperator,
@@ -34,6 +33,7 @@ from .linalg import (
     check_two_qubit,
     dagger,
     kron,
+    pauli_basis,
 )
 from .states import _BELL_VECTORS
 
@@ -44,8 +44,6 @@ TRACE_PRESERVING_TOL = 1e-10
 _BELL_MEASUREMENT = kron(kron(H, I2) @ CNOT, I2).reshape(2, 2, 2, 2, 4)
 # The receiver's correction Z^a X^b for each outcome, indexed [a, b, row, col].
 _CORRECTIONS = np.array([[I2, X], [Z, Z @ X]])
-# I, X, Y, Z in the order of `bell_overlaps`, which reads them from PAULIS.
-_PAULI_STACK = np.array(list(PAULIS.values()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,9 +148,9 @@ def teleportation_channel(resource: DensityOperator) -> QuantumChannel:
     entangled resource gives the identity, and the |phi_k> family introduces
     Z errors only.
     """
-    weights = np.array(list(bell_overlaps(resource).values()))
+    weights = np.array(list(bell_overlaps(resource).values()))  # I, X, Y, Z: both follow PAULIS
     keep = weights > 0.0
-    kraus = np.sqrt(weights[keep])[:, None, None] * _PAULI_STACK[keep]
+    kraus = np.sqrt(weights[keep])[:, None, None] * pauli_basis(2)[keep]
     return QuantumChannel(kraus, name="teleport")
 
 

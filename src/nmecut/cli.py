@@ -63,9 +63,12 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     return 0
 
 
-def _max_choi_deviation(decomposition) -> float:
+def _max_deviations(decomposition) -> tuple[float, float]:
+    """max |sum c_i Choi(F_i) - Choi(id)| (the Kraus/Choi oracle) and max |sum c_i R_i - I| (the sampling form)."""
     identity = unitary_channel(I2, name="identity").choi
-    return float(np.abs(reconstruct_channel(decomposition) - identity).max())
+    choi = float(np.abs(reconstruct_channel(decomposition) - identity).max())
+    ptm = sum(t.coefficient * r for t, r in zip(decomposition.terms, decomposition.ptm))
+    return choi, float(np.abs(ptm - np.eye(len(ptm))).max())
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -80,10 +83,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     cases += [(f"k={k:g}", nme_wire_cut(k)) for k in ks]
     worst = 0.0
     for label, decomposition in cases:
-        deviation = _max_choi_deviation(decomposition)
-        worst = max(worst, deviation)
-        status = "ok" if deviation <= VERIFY_TOL else "FAIL"
-        print(f"{label:<10} max-choi-deviation {deviation:.3e}  {status}")
+        choi, ptm = _max_deviations(decomposition)
+        worst = max(worst, choi, ptm)
+        status = "ok" if max(choi, ptm) <= VERIFY_TOL else "FAIL"
+        print(f"{label:<10} max-choi-deviation {choi:.3e}  max-ptm-deviation {ptm:.3e}  {status}")
     return 0 if worst <= VERIFY_TOL else CHECK_FAILURE
 
 

@@ -11,6 +11,7 @@ identical keys reproduce identical draws across runs and platforms.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Sequence, Union
 
 import numpy as np
@@ -23,13 +24,17 @@ from .errors import (
     ZeroShotsError,
     _shown,
 )
-from .linalg import Matrix, _instance, _integer, as_matrix, as_unitary, check_hermitian
+from .linalg import Matrix, _instance, _integer, as_matrix, as_unitary, check_hermitian, pauli_basis
 from .qpd import QuasiProbDecomposition
 
 OBSERVABLE_TOL = 1e-10
 PROBABILITY_TOL = 1e-10
 
 MODES = ("stratified", "multinomial")
+# Rows per probability block times dim**3, the size of the block's largest temporary (1024 rows at dim 2):
+# the kernel's memory stays fixed however many rows a sweep passes it, and each temporary stays at or
+# below 128 KiB, which the allocator reuses instead of mapping fresh pages on every call.
+_BLOCK_ENTRIES = 1 << 13
 MAX_SHOTS = 1 << 48  # far enough below 2**53 that allocate_shots' float64 split stays exact
 
 
@@ -159,15 +164,50 @@ def _budget(qpd: QuasiProbDecomposition, total_shots: int, mode: str) -> _Budget
     return _Budget(total_shots, None, tuple(c / qpd.kappa for c in coefficients), beta, qpd.kappa)
 
 
+@cache
+def _pauli_tables(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The Pauli strings P_b on `dim` levels as `_plus_probabilities` reads them.
+
+    `coordinates @ vec(O)` is tr(P_a O) / dim for each a; row i of P_b holds its one nonzero,
+    value[i, b, 0], in column[i, b].
+    """
+    basis = pauli_basis(dim)
+    by_row = basis.transpose(1, 0, 2)  # [i, b, j]
+    column = np.argmax(by_row != 0, axis=2)
+    tables = (basis.conj().reshape(dim * dim, -1) / dim, column, np.take_along_axis(by_row, column[..., None], axis=2))
+    for table in tables:  # shared by every call
+        table.flags.writeable = False
+    return tables
+
+
+def _left_to_right_sum(a: np.ndarray) -> np.ndarray:
+    """Sum over the first axis, added left to right in elementwise operations."""
+    total = a[0]
+    for part in a[1:]:
+        total = total + part
+    return total
+
+
 def _plus_probabilities(qpd: QuasiProbDecomposition, columns: np.ndarray, obs: Matrix) -> np.ndarray:
     """(n, terms) +1 probabilities in [0, 1] for an (n, dim) stack of rows W|0>, checked by the caller.
 
-    The rows must be unit vectors on `qpd.dim` levels and O a +/-1 observable.
-    Term i's probability is (1 + <psi|E_i|psi>) / 2, with E_i = `channel.dual(O)`
-    the observable in the Heisenberg picture of its channel, built once per call.
+    The rows must be unit vectors on `qpd.dim` = d levels and O a +/-1 observable.  With
+    o_a = tr(P_a O) the observable's Pauli vector and r_b = <psi|P_b|psi> the row's, term i's
+    probability is (1 + e_i . r) / 2, where e_i = o^T R_i / d, the Pauli vector of the Heisenberg
+    effect F_i*(O) over d, comes from the decomposition's cached transfer matrices `qpd.ptm`.
+    Rows go through elementwise operations only, each sum added left to right and never a
+    matmul, so every row has the bits of its one-row call; blocks of rows bound the temporaries.
     """
-    effects = np.stack([t.channel.dual(obs) for t in qpd.terms])
-    p_plus = 0.5 * (1.0 + np.real(np.einsum("ni,tij,nj->nt", columns.conj(), effects, columns)))
+    dim = qpd.dim
+    coordinates, column, value = _pauli_tables(dim)
+    effects = (coordinates @ obs.ravel()).real @ qpd.ptm
+    p_plus = np.empty((len(columns), len(effects)))
+    step = _BLOCK_ENTRIES // dim**3
+    for start in range(0, len(columns), step):
+        psi = columns[start : start + step].T
+        # r_b = sum_i conj(psi_i) P_b[i, j] psi_j over the one j of row i, then e_i . r; rows run along the last axis.
+        pauli = _left_to_right_sum(psi.conj()[:, None] * (value * psi[column])).real
+        p_plus[start : start + step] = 0.5 * (1.0 + _left_to_right_sum(effects.T[:, :, None] * pauli[:, None]).T)
     bad = ((p_plus < -PROBABILITY_TOL) | (p_plus > 1.0 + PROBABILITY_TOL)).any(axis=1)
     if bad.any():
         row = int(np.argmax(bad))

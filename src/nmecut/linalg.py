@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass, field
+from functools import cache
 from typing import TypeVar
 
 import numpy as np
@@ -142,6 +143,21 @@ def _qubit_dim(dim: int) -> int:
     if dim not in VALID_DIMS:
         raise InvalidParameterError(f"dim must be one of {VALID_DIMS}, got {dim}")
     return dim
+
+
+@cache
+def pauli_basis(dim: int) -> Matrix:
+    """Read-only (dim^2, dim, dim) stack of the Pauli strings on 1-3 qubits.
+
+    Each qubit takes I, X, Y, Z in the order of PAULIS, and the first factor is
+    the most significant digit of the index, as in `kron`.
+    """
+    single = np.array(list(PAULIS.values()))
+    basis = single
+    while len(basis[0]) < _qubit_dim(dim):
+        basis = np.array([np.kron(p, q) for p in basis for q in single])
+    basis.flags.writeable = False
+    return basis
 
 
 @dataclass(frozen=True, eq=False)

@@ -7,13 +7,14 @@ and the teleportation-based cut over the pair |phi_k> with coefficients
     b = (k - 1)^2 / (k + 1)^2    on the negated measure-and-flip term,
 
 whose overhead kappa = 2a + b = 4(k^2+1)/(k+1)^2 - 1 = 2/f - 1 is optimal.
-Reconstruction of the identity is checked through Choi matrices.
+Reconstruction of the identity is checked through Choi matrices; sampling
+reads each decomposition's cached Pauli transfer matrices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, cached_property
 from math import inf, isfinite
 
 import numpy as np
@@ -26,7 +27,7 @@ from .channels import (
     teleportation_channel,
 )
 from .errors import DimensionMismatchError, InvalidParameterError, _shown
-from .linalg import H, S, Matrix, _instance, _require_real
+from .linalg import H, S, Matrix, _instance, _require_real, pauli_basis
 from .states import checked_k, checked_overlap, nme_state
 
 COEFFICIENT_SUM_TOL = 1e-12
@@ -49,6 +50,8 @@ class QpdTerm:
 
     def __post_init__(self) -> None:
         _require_real("coefficient", self.coefficient)
+        _instance(self.channel, QuantumChannel)
+        _instance(self.consumes_resource, bool)
         try:
             c = float(self.coefficient)
         except OverflowError:  # an integer beyond the float range
@@ -60,14 +63,24 @@ class QpdTerm:
 
 @dataclass(frozen=True)
 class QuasiProbDecomposition:
-    """Ordered signed mixture sum_i c_i F_i with sum c_i = 1 of channels on `dim` levels."""
+    """Ordered signed mixture sum_i c_i F_i with sum c_i = 1 of channels on `dim` levels.
+
+    `terms` is an iterable of QpdTerm, stored as a tuple.  Two forms of the
+    channels serve two purposes: their Kraus/Choi algebra is the exact oracle
+    (`reconstruct_channel`), and `ptm`, their Pauli transfer matrices, is the
+    numeric form that sampling reads.
+    """
 
     terms: tuple[QpdTerm, ...]
     kappa: float = field(init=False)
     dim: int = field(init=False)
 
     def __post_init__(self) -> None:
-        terms = tuple(self.terms)
+        try:
+            items = iter(self.terms)
+        except TypeError:
+            raise InvalidParameterError(f"expected an iterable of QpdTerm, got {type(self.terms).__name__}") from None
+        terms = tuple(_instance(t, QpdTerm) for t in items)
         if not terms:
             raise InvalidParameterError("a decomposition needs at least one term")
         total = sum(t.coefficient for t in terms)
@@ -81,6 +94,19 @@ class QuasiProbDecomposition:
         object.__setattr__(self, "terms", terms)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "kappa", float(sum(abs(t.coefficient) for t in terms)))
+
+    @cached_property
+    def ptm(self) -> np.ndarray:
+        """Read-only real (terms, d^2, d^2) stack R_i[a, b] = tr(P_a F_i(P_b)) / d over `pauli_basis(d)`.
+
+        Built from each channel's Kraus action on first access and cached (idempotent,
+        safe under concurrent first access).  A valid wire cut has sum_i c_i R_i = I.
+        """
+        basis = pauli_basis(self.dim)
+        images = np.stack([t.channel.act(basis) for t in self.terms])
+        stack = np.einsum("aij,tbji->tab", basis, images).real / self.dim
+        stack.flags.writeable = False
+        return stack
 
     @property
     def probabilities(self) -> np.ndarray:

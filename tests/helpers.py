@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 
@@ -39,6 +41,22 @@ def hurwitz_unitary(rng: np.random.Generator) -> np.ndarray:
         ]
     )
     return np.exp(1j * alpha) * su2
+
+
+DATA_DIR = Path(__file__).parent / "data"
+# The numpy version each golden file was written under: numpy does not promise Generator streams across its
+# versions (NEP 19), so after an upgrade a golden can differ with nothing else changed.
+GOLDEN_PROVENANCE = DATA_DIR / "golden_provenance.json"
+
+
+def assert_matches_golden(actual: bytes, name: str) -> None:
+    """`actual` equals the bytes of tests/data/`name`; a mismatch names the numpy it was written under and this one."""
+    if actual != (DATA_DIR / name).read_bytes():
+        written = json.loads(GOLDEN_PROVENANCE.read_text(encoding="utf-8"))[name]["numpy"]
+        raise AssertionError(
+            f"{name}: output differs from the committed bytes; the file was written under numpy {written}, "
+            f"this run uses numpy {np.__version__}"
+        )
 
 
 def teleportation_circuit_kraus(resource: np.ndarray) -> list[np.ndarray]:

@@ -1,17 +1,17 @@
 """Golden-output and exit-code tests for the command-line interface."""
 
 import json
-from pathlib import Path
+import re
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from helpers import assert_matches_golden
+from nmecut import cli
 from nmecut.cli import main
 from nmecut.estimator import MODES
 from nmecut.experiment import CSV_HEADER
-
-DATA_DIR = Path(__file__).parent / "data"
 
 
 def run_cli(args, capsys):
@@ -99,6 +99,18 @@ class TestVerify:
         assert code == 0
         assert "ok" in out
 
+    def test_line_reports_choi_and_ptm_deviations(self, capsys):
+        code, out, _ = run_cli(["verify", "--k", "0.5"], capsys)
+        assert code == 0
+        assert re.fullmatch(r"k=0\.5 +max-choi-deviation \S+  max-ptm-deviation \S+  ok\n", out)
+
+    @pytest.mark.parametrize("deviations", [(0.0, 1e-9), (1e-9, 0.0)], ids=["ptm", "choi"])
+    def test_either_deviation_fails_the_line(self, deviations, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_max_deviations", lambda _: deviations)
+        code, out, _ = run_cli(["verify", "--k", "0.5"], capsys)
+        assert code == 1
+        assert out.endswith("  FAIL\n")
+
     def test_invalid_k(self, capsys):
         assert run_cli(["verify", "--k", "-1"], capsys)[0] == 2
 
@@ -141,7 +153,7 @@ class TestExperiment:
             "--out", str(out_path),
         ]
         assert run_cli(args + extra, capsys)[0] == 0
-        assert out_path.read_bytes() == (DATA_DIR / golden).read_bytes()
+        assert_matches_golden(out_path.read_bytes(), golden)
 
     def test_summary_table_printed(self, tmp_path, capsys):
         code, out, _ = run_cli(

@@ -13,7 +13,7 @@ from nmecut.errors import InvalidParameterError, NmecutError, OutOfRangeError, Z
 from nmecut.estimator import MAX_SHOTS, RandomSource, allocate_shots, estimate_cut_expectation, exact_expectation
 from nmecut.experiment import ExperimentConfig
 from nmecut.linalg import I2, Z, DensityOperator, PureState, as_matrix, kron
-from nmecut.qpd import nme_wire_cut, reconstruct_channel
+from nmecut.qpd import QpdTerm, QuasiProbDecomposition, nme_wire_cut, reconstruct_channel
 from nmecut.states import m_distillation_norm
 
 # Each public function or constructor that takes an array, called with `a` in that place.
@@ -108,8 +108,21 @@ def test_open_bound_is_not_printed():
         (lambda: estimate_cut_expectation(None, I2, Z, 10, RandomSource(1)), "QuasiProbDecomposition, got NoneType"),
         (lambda: allocate_shots(None, 10), "QuasiProbDecomposition, got NoneType"),
         (lambda: reconstruct_channel(None), "QuasiProbDecomposition, got NoneType"),
+        # Each of these three used to end in a bare AttributeError or TypeError, or be accepted.
+        (lambda: QuasiProbDecomposition((1.0,)), "QpdTerm, got float"),
+        (lambda: QuasiProbDecomposition(5), "iterable of QpdTerm, got int"),
+        (lambda: QpdTerm(1.0, "chan"), "QuantumChannel, got str"),
+        (lambda: QpdTerm(1.0, measure_prepare_channel(I2), consumes_resource="no"), "bool, got str"),
     ],
-    ids=["estimate_cut_expectation", "allocate_shots", "reconstruct_channel"],
+    ids=[
+        "estimate_cut_expectation",
+        "allocate_shots",
+        "reconstruct_channel",
+        "decomposition-term",
+        "decomposition-not-iterable",
+        "term-channel",
+        "term-flag",
+    ],
 )
 def test_wrong_type_is_named(call, message):
     with pytest.raises(InvalidParameterError, match=f"^expected an? {message}$"):

@@ -1,15 +1,16 @@
 """Tests for shot allocation and the Monte Carlo estimator."""
 
 import itertools
+import json
 import math
-from pathlib import Path
+import re
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import same_bits
+from helpers import DATA_DIR, GOLDEN_PROVENANCE, assert_matches_golden, same_bits
 from nmecut.errors import (
     DimensionMismatchError,
     InvalidObservableError,
@@ -31,6 +32,7 @@ from nmecut.estimator import (
     MAX_SHOTS,
     MODES,
     RandomSource,
+    _BLOCK_ENTRIES,
     _budget,
     _plus_probabilities,
     _pm_one_observable,
@@ -47,7 +49,6 @@ from nmecut.states import nme_state
 ZERO = DensityOperator(np.diag([1.0, 0.0]))
 PLUS = DensityOperator(np.full((2, 2), 0.5))
 ROTATION = haar_random_unitary(RandomSource(5, 0))
-GOLDEN_ESTIMATES = Path(__file__).parent / "data" / "golden_estimates.csv"
 
 
 class TestRandomSource:
@@ -480,13 +481,14 @@ class TestPlusProbabilities:
     @settings(max_examples=60, deadline=None)
     @given(
         seed=st.integers(0, 2**64 - 1),
-        dim=st.sampled_from([2, 4]),
+        dim=st.sampled_from([2, 4, 8]),
         n_kraus=st.lists(st.integers(1, 4), min_size=1, max_size=3),
         n=st.integers(1, 20),
     )
     def test_effects_agree_with_the_kraus_action(self, seed, dim, n_kraus, n):
         # Random CPTP terms (Kraus sets cut from a random isometry), unit states
         # and +/-1 observables U diag(+/-1) U^dag; the oracle is QuantumChannel.act.
+        # The kernel reads the decomposition's transfer matrices, never the Kraus operators.
         gen = np.random.default_rng(seed)
 
         def isometry(rows, cols):
@@ -500,12 +502,26 @@ class TestPlusProbabilities:
         columns = gen.standard_normal((n, dim)) + 1j * gen.standard_normal((n, dim))
         columns /= np.linalg.norm(columns, axis=1, keepdims=True)
         table = _plus_probabilities(qpd, columns, _pm_one_observable(obs, dim))
+        for i in range(n):
+            assert same_bits(table[i], _plus_probabilities(qpd, columns[i : i + 1], obs)[0])
         rho = columns[:, :, None] * columns.conj()[:, None, :]
         values = np.stack([np.real(np.trace(obs @ ch.act(rho), axis1=1, axis2=2)) for ch in channels], axis=1)
         assert np.abs(table - 0.5 * (1.0 + values)).max() <= 1e-12
         # tr(O F(rho)) = tr(F*(O) rho): the dual map against the same oracle.
         duals = np.stack([np.real(np.trace(ch.dual(obs) @ rho, axis1=1, axis2=2)) for ch in channels], axis=1)
         assert np.abs(duals - values).max() <= 1e-12
+
+    @pytest.mark.parametrize("k", [0.3, 1.0])
+    def test_rows_keep_their_bits_across_blocks(self, k):
+        # The kernel takes rows in fixed blocks; a block boundary changes no row's bits.
+        qpd = nme_wire_cut(k)
+        step = _BLOCK_ENTRIES // qpd.dim**3
+        columns = sweep_rows(11, 2 * step + 3)
+        table = _plus_probabilities(qpd, columns, Z)
+        for i in (0, step - 1, step, step + 1, 2 * step - 1, 2 * step, 2 * step + 2):
+            assert same_bits(table[i], _plus_probabilities(qpd, columns[i : i + 1], Z)[0])
+        pieces = [_plus_probabilities(qpd, columns[a : a + 5], Z) for a in range(0, len(columns), 5)]
+        assert same_bits(table, np.concatenate(pieces))
 
     @pytest.mark.parametrize(
         "observable",
@@ -566,4 +582,17 @@ def test_library_estimates_match_committed_golden_csv():
     # sweep: a probability that moves by one ulp and flips a draw shows here.
     # The file was written once by golden_estimates_text(); a change that
     # fails here changed the draws, and the file is not rewritten to hide it.
-    assert golden_estimates_text().encode() == GOLDEN_ESTIMATES.read_bytes()
+    assert_matches_golden(golden_estimates_text().encode(), "golden_estimates.csv")
+
+
+def test_golden_mismatch_names_both_numpy_versions():
+    written = json.loads(GOLDEN_PROVENANCE.read_text(encoding="utf-8"))["golden_estimates.csv"]["numpy"]
+    pattern = rf"written under numpy {re.escape(written)}, this run uses numpy {re.escape(np.__version__)}$"
+    with pytest.raises(AssertionError, match=pattern):
+        assert_matches_golden(b"mode,k\n", "golden_estimates.csv")
+
+
+def test_every_golden_file_has_its_numpy_version():
+    recorded = json.loads(GOLDEN_PROVENANCE.read_text(encoding="utf-8"))
+    assert sorted(recorded) == sorted(path.name for path in DATA_DIR.glob("*.csv"))
+    assert all(isinstance(entry["numpy"], str) for entry in recorded.values())

@@ -31,6 +31,7 @@ from nmecut.linalg import (
     as_unitary,
     check_hermitian,
     kron,
+    pauli_basis,
 )
 from nmecut.states import overlap_f_pure, schmidt_decompose
 
@@ -73,6 +74,27 @@ class TestKron:
     def test_rejects_non_finite(self):
         with pytest.raises(InvalidParameterError):
             kron(np.array([[np.nan, 0], [0, 1]]), I2)
+
+
+class TestPauliBasis:
+    @pytest.mark.parametrize("dim", [2, 4, 8])
+    def test_strings_in_kron_order(self, dim):
+        basis = pauli_basis(dim)
+        assert basis.shape == (dim * dim, dim, dim) and not basis.flags.writeable
+        assert pauli_basis(dim) is basis  # built once
+        single = [I2, X, Y, Z]
+        for a in range(dim * dim):
+            digits = [a // 4 ** q % 4 for q in reversed(range(dim.bit_length() - 1))]
+            expected = single[digits[0]]
+            for digit in digits[1:]:
+                expected = kron(expected, single[digit])
+            np.testing.assert_array_equal(basis[a], expected)
+        # Orthogonal: tr(P_a P_b) = dim when a = b, else 0.
+        np.testing.assert_allclose(np.einsum("aij,bji->ab", basis, basis), dim * np.eye(dim * dim), atol=0)
+
+    def test_other_dimension_is_a_named_error(self):
+        with pytest.raises(InvalidParameterError, match="dim must be one of"):
+            pauli_basis(3)
 
 
 class TestAsMatrix:

@@ -163,9 +163,25 @@ class TestNmeWireCut:
 PAULI_STACK = np.array([PAULIS[name] for name in "IXYZ"])
 
 
+def pauli_strings(dim):
+    """Tensor products of (I, X, Y, Z) on log2(dim) qubits, the first factor most significant."""
+    strings = PAULI_STACK
+    while len(strings[0]) < dim:
+        strings = np.array([np.kron(p, q) for p in strings for q in PAULI_STACK])
+    return strings
+
+
 def pauli_transfer_matrix(channel):
-    """R[a, b] = tr(P_a F(P_b)) / 2 over (I, X, Y, Z), from the Kraus action alone."""
-    return np.einsum("aij,bji->ab", PAULI_STACK, channel.act(PAULI_STACK)) / 2
+    """R[a, b] = tr(P_a F(P_b)) / d over the Pauli strings, from the Kraus operators one by one."""
+    strings = pauli_strings(channel.in_dim)
+    images = [sum(k @ p @ k.conj().T for k in channel.kraus) for p in strings]
+    return np.array([[np.trace(pa @ image).real for image in images] for pa in strings]) / channel.in_dim
+
+
+def random_channel(gen, dim, n_kraus):
+    """CPTP channel whose Kraus set is cut from a random (n_kraus * dim, dim) isometry."""
+    q, _ = np.linalg.qr(gen.standard_normal((n_kraus * dim, dim)) + 1j * gen.standard_normal((n_kraus * dim, dim)))
+    return QuantumChannel(q.reshape(n_kraus, dim, dim))
 
 
 class TestPauliForm:
@@ -188,6 +204,27 @@ class TestPauliForm:
         expected = [np.diag([1, 1, 0, 0]), np.diag([1, 0, 1, 0]), np.diag([1, 0, 0, -1])]
         for form, diag in zip(forms, expected, strict=True):
             np.testing.assert_allclose(form, diag, atol=1e-12)
+
+    @pytest.mark.parametrize("qpd", [nme_wire_cut(0.0), nme_wire_cut(0.5), nme_wire_cut(1.0), harada_wire_cut()])
+    def test_cached_stack_matches_the_kraus_oracle(self, qpd):
+        stack = qpd.ptm
+        assert stack.dtype == np.float64 and stack.shape == (len(qpd.terms), 4, 4)
+        oracle = [pauli_transfer_matrix(t.channel) for t in qpd.terms]
+        assert np.abs(stack - oracle).max() <= 1e-12
+        assert qpd.ptm is stack  # built once
+        assert not stack.flags.writeable
+        with pytest.raises(ValueError):
+            stack[0, 0, 0] = 2.0
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_cached_stack_on_random_two_qubit_terms(self, seed):
+        gen = np.random.default_rng(seed)
+        channels = [random_channel(gen, 4, n) for n in (1, 2, 4)]
+        qpd = QuasiProbDecomposition(tuple(QpdTerm(c, ch) for c, ch in zip((1.5, 0.75, -1.25), channels)))
+        assert qpd.ptm.shape == (3, 16, 16)
+        assert np.abs(qpd.ptm - [pauli_transfer_matrix(ch) for ch in channels]).max() <= 1e-12
+        # A trace-preserving map keeps tr(P_0 F(P_b)) = tr(P_b): the first row is (1, 0, ..., 0).
+        assert np.abs(qpd.ptm[:, 0] - np.eye(16)[0]).max() <= 1e-12
 
 
 class TestLargeK:
