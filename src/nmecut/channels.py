@@ -28,6 +28,8 @@ from .linalg import (
     Z,
     DensityOperator,
     Matrix,
+    _identity,
+    _instance,
     as_matrix,
     as_unitary,
     check_two_qubit,
@@ -44,6 +46,9 @@ TRACE_PRESERVING_TOL = 1e-10
 _BELL_MEASUREMENT = kron(kron(H, I2) @ CNOT, I2).reshape(2, 2, 2, 2, 4)
 # The receiver's correction Z^a X^b for each outcome, indexed [a, b, row, col].
 _CORRECTIONS = np.array([[I2, X], [Z, Z @ X]])
+# B: row sigma is the Bell vector (sigma x I)|phi>, in the order of PAULIS.
+_BELL_ROWS = np.array(list(_BELL_VECTORS.values()))
+_BELL_ROWS.flags.writeable = False
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,8 +71,8 @@ class QuantumChannel:
         if not stack.size:  # no operator, or operators of a zero dimension
             raise InvalidParameterError(f"a channel needs at least one nonempty Kraus operator, got shape {stack.shape}")
         _, out_dim, in_dim = stack.shape
-        total = np.einsum("kji,kjl->il", stack.conj(), stack)
-        residual = np.abs(total - np.eye(in_dim)).max()
+        v = stack.reshape(-1, in_dim)  # the operators' rows, so sum_k K_k^dag K_k = v^dag v
+        residual = np.abs(v.conj().T @ v - _identity(in_dim)).max()
         if residual > TRACE_PRESERVING_TOL:
             raise NotTracePreservingError(
                 f"max |sum(K^dag K) - I| = {residual:.3e} > {TRACE_PRESERVING_TOL}"
@@ -103,11 +108,16 @@ def unitary_channel(u: np.ndarray, name: str = "") -> QuantumChannel:
 def conjugate_channel(u: np.ndarray, ch: QuantumChannel, name: str = "") -> QuantumChannel:
     """U . Channel(U^dag . U) . U^dag, i.e. each Kraus operator becomes U K U^dag."""
     u = as_unitary(u)
-    if not u.shape[0] == ch.in_dim == ch.out_dim:
+    if not u.shape[0] == _instance(ch, QuantumChannel).in_dim == ch.out_dim:
         raise DimensionMismatchError(
             f"unitary of dim {u.shape[0]} cannot conjugate a {ch.in_dim}->{ch.out_dim} channel"
         )
-    return QuantumChannel(u @ ch.kraus @ dagger(u), name=name)
+    return QuantumChannel(_conjugated(u, ch.kraus), name=name)
+
+
+def _conjugated(u: Matrix, kraus: Matrix) -> Matrix:
+    """U K U^dag for each K of a Kraus array, unchecked; a (..., 1, d, d) stack of U broadcasts over them."""
+    return u @ kraus @ dagger(u)
 
 
 def measure_prepare_channel(u: np.ndarray, name: str = "") -> QuantumChannel:
@@ -128,16 +138,14 @@ def measure_prepare_flip_channel() -> QuantumChannel:
 
 
 def bell_overlaps(rho: DensityOperator) -> dict[str, float]:
-    """Overlaps <phi_sigma| rho |phi_sigma> with the four Bell states.
+    """Overlaps <phi_sigma| rho |phi_sigma> with the four Bell states: nonnegative up to float noise, summing to 1."""
+    return dict(zip(_BELL_VECTORS, _bell_weights(rho).tolist()))
 
-    The values are nonnegative up to float noise and sum to 1 for any valid
-    two-qubit density operator.
-    """
+
+def _bell_weights(rho: DensityOperator) -> np.ndarray:
+    """The Bell overlaps in the order of PAULIS, as diag(B* rho B^T): unlike an einsum, it keeps each v^dag rho v's bits."""
     m = check_two_qubit(rho, DensityOperator).matrix
-    return {
-        name: float(np.real(v.conj() @ m @ v))
-        for name, v in _BELL_VECTORS.items()
-    }
+    return np.diagonal(_BELL_ROWS.conj() @ m @ _BELL_ROWS.T).real
 
 
 def teleportation_channel(resource: DensityOperator) -> QuantumChannel:
@@ -148,7 +156,7 @@ def teleportation_channel(resource: DensityOperator) -> QuantumChannel:
     entangled resource gives the identity, and the |phi_k> family introduces
     Z errors only.
     """
-    weights = np.array(list(bell_overlaps(resource).values()))  # I, X, Y, Z: both follow PAULIS
+    weights = _bell_weights(resource)  # I, X, Y, Z: both follow PAULIS
     keep = weights > 0.0
     kraus = np.sqrt(weights[keep])[:, None, None] * pauli_basis(2)[keep]
     return QuantumChannel(kraus, name="teleport")

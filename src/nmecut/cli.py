@@ -32,7 +32,7 @@ from .experiment import (
     run_sweep,
     write_csv,
 )
-from .linalg import I2
+from .linalg import I2, _identity
 from .qpd import (
     harada_wire_cut,
     nme_wire_cut,
@@ -68,7 +68,7 @@ def _max_deviations(decomposition) -> tuple[float, float]:
     identity = unitary_channel(I2, name="identity").choi
     choi = float(np.abs(reconstruct_channel(decomposition) - identity).max())
     ptm = sum(t.coefficient * r for t, r in zip(decomposition.terms, decomposition.ptm))
-    return choi, float(np.abs(ptm - np.eye(len(ptm))).max())
+    return choi, float(np.abs(ptm - _identity(len(ptm))).max())
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

@@ -24,7 +24,7 @@ from .errors import (
     ZeroShotsError,
     _shown,
 )
-from .linalg import Matrix, _instance, _integer, as_matrix, as_unitary, check_hermitian, pauli_basis
+from .linalg import Matrix, _identity, _instance, _integer, as_matrix, as_unitary, check_hermitian, pauli_basis
 from .qpd import QuasiProbDecomposition
 
 OBSERVABLE_TOL = 1e-10
@@ -102,7 +102,7 @@ def _check_observable(observable: np.ndarray, dim: int) -> Matrix:
 def _pm_one_observable(observable: np.ndarray, dim: int) -> Matrix:
     """Checks O once for sampling: Hermitian on `dim` levels and O^2 = I (eigenvalues all +/-1)."""
     obs = _check_observable(observable, dim)
-    residual = np.abs(obs @ obs - np.eye(dim)).max()
+    residual = np.abs(obs @ obs - _identity(dim)).max()
     if residual > OBSERVABLE_TOL:
         raise InvalidObservableError(f"max |O^2 - I| = {residual:.3e} > {OBSERVABLE_TOL}: eigenvalues not all +/-1")
     return obs

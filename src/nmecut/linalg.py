@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, lru_cache
 from typing import TypeVar
 
 import numpy as np
@@ -115,12 +115,20 @@ def check_hermitian(m: Matrix) -> Matrix:
     return m
 
 
+@lru_cache(maxsize=8)  # bounded: a caller's unitary may be of any size
+def _identity(dim: int) -> np.ndarray:
+    """Read-only real dim x dim identity, built once per dim for the checks that compare against I."""
+    eye = np.eye(dim)
+    eye.flags.writeable = False
+    return eye
+
+
 def as_unitary(u: npt.ArrayLike) -> Matrix:
     """as_matrix(u); NotUnitaryError if it is not square or max |U^dag U - I| > UNITARY_TOL."""
     u = as_matrix(u)
     if u.shape[0] != u.shape[1]:
         raise NotUnitaryError(f"a unitary must be square, got shape {u.shape}")
-    residual = np.abs(dagger(u) @ u - np.eye(u.shape[0])).max()
+    residual = np.abs(dagger(u) @ u - _identity(u.shape[0])).max()
     if residual > UNITARY_TOL:
         raise NotUnitaryError(f"max |U^dag U - I| = {residual:.3e} > {UNITARY_TOL}")
     return u
@@ -198,5 +206,5 @@ class PureState:
         object.__setattr__(self, "amplitudes", v)
 
     def density(self) -> DensityOperator:
-        """|psi><psi| as a validated density operator."""
-        return DensityOperator(np.outer(self.amplitudes, self.amplitudes.conj()))
+        """|psi><psi| as a validated density operator, formed as the product np.outer makes, without its wrapper."""
+        return DensityOperator(self.amplitudes[:, None] * self.amplitudes.conj())

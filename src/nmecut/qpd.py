@@ -21,19 +21,22 @@ import numpy as np
 
 from .channels import (
     QuantumChannel,
-    conjugate_channel,
+    _conjugated,
     measure_prepare_channel,
     measure_prepare_flip_channel,
     teleportation_channel,
 )
 from .errors import DimensionMismatchError, InvalidParameterError, _shown
-from .linalg import H, S, Matrix, _instance, _require_real, pauli_basis
+from .linalg import H, S, Matrix, _instance, _require_real, as_unitary, pauli_basis
 from .states import checked_k, checked_overlap, nme_state
 
 COEFFICIENT_SUM_TOL = 1e-12
 
 U1 = H
 U2 = S @ H
+# (U1, U2), checked unitary once, as a (2, 1, 2, 2) stack: nme_wire_cut conjugates by both in one product.
+_FRAMES = np.array([as_unitary(U1), as_unitary(U2)])[:, None]
+_FRAMES.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -159,10 +162,10 @@ def nme_wire_cut(k: float) -> QuasiProbDecomposition:
     """
     k = checked_k(k)
     a, b = _coefficients(k)
-    tel = teleportation_channel(nme_state(k).density())
+    kraus = _conjugated(_FRAMES, teleportation_channel(nme_state(k).density()).kraus)
     terms = [
-        QpdTerm(a, conjugate_channel(U1, tel, name="teleport[H]"), consumes_resource=True),
-        QpdTerm(a, conjugate_channel(U2, tel, name="teleport[SH]"), consumes_resource=True),
+        QpdTerm(a, QuantumChannel(kraus[0], name="teleport[H]"), consumes_resource=True),
+        QpdTerm(a, QuantumChannel(kraus[1], name="teleport[SH]"), consumes_resource=True),
     ]
     if b != 0.0:
         terms.append(QpdTerm(-b, measure_prepare_flip_channel()))

@@ -26,7 +26,7 @@ from .linalg import PAULIS, TRACE_TOL, I2, PureState, _integer, _require_real, a
 RANGE_TOL = 1e-12
 
 _PHI = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / np.sqrt(2.0)
-# Bell vectors (sigma x I)|phi>, built once: bell_overlaps reads them on every call.
+# Bell vectors (sigma x I)|phi>, built once: bell_state reads them; bell_overlaps reads them as one table.
 _BELL_VECTORS = {name: kron(sigma, I2) @ _PHI for name, sigma in PAULIS.items()}
 
 

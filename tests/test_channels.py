@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from helpers import random_density_matrix, teleportation_circuit_kraus
+from helpers import random_density_matrix, random_pure_vector, teleportation_circuit_kraus
 from nmecut.errors import (
     DimensionMismatchError,
     InvalidParameterError,
@@ -22,8 +22,8 @@ from nmecut.channels import (
     teleportation_circuit_channel,
     unitary_channel,
 )
-from nmecut.linalg import H, I2, S, X, Y, Z, DensityOperator
-from nmecut.states import nme_state
+from nmecut.linalg import H, I2, PAULIS, S, X, Y, Z, DensityOperator, PureState
+from nmecut.states import bell_state, nme_state
 
 
 def identity_choi():
@@ -157,6 +157,19 @@ class TestBellOverlaps:
         with pytest.raises(DimensionMismatchError):
             bell_overlaps(DensityOperator(I2 / 2))
 
+    def test_bits_of_the_vector_by_vector_product(self):
+        # All four overlaps come from one (4, 4) product; each keeps the bits of v^dag rho v.
+        rng = np.random.default_rng(43)
+        rhos = [DensityOperator(random_density_matrix(rng, 4)) for _ in range(500)]
+        rhos += [PureState(random_pure_vector(rng, 4)).density() for _ in range(100)]
+        rhos += [nme_state(k).density() for k in (0.0, 1e-300, 0.1, 0.37, 0.5, 0.9, 1.0, 3.0, 1e300)]
+        for rho in rhos:
+            got = bell_overlaps(rho)
+            assert list(got) == list(PAULIS)
+            for name, value in got.items():
+                v = bell_state(name).amplitudes
+                assert value == float(np.real(v.conj() @ rho.matrix @ v))
+
 
 class TestTeleportationChannel:
     def test_maximal_resource_gives_identity(self):
@@ -288,6 +301,23 @@ class TestConstructorContract:
     def test_non_finite_entry_rejected(self):
         with pytest.raises(InvalidParameterError):
             QuantumChannel([np.array([[1.0, 0.0], [0.0, np.nan]])])
+
+    @pytest.mark.parametrize("dim", [2, 4, 8])
+    @pytest.mark.parametrize(
+        "shape",
+        [lambda d: (1, d, d), lambda d: (5, d, d), lambda d: (2, 2 * d, d), lambda d: (d, max(d // 2, 1), d)],
+        ids=["one-operator", "many-operators", "out-larger", "out-smaller"],
+    )
+    def test_trace_preserving_boundary(self, dim, shape):
+        # Scaling an isometry's rows by sqrt(1 + delta) makes sum K^dag K = (1 + delta) I.
+        n, out_dim, in_dim = shape(dim)
+        rng = np.random.default_rng(dim)
+        a = rng.normal(size=(n * out_dim, in_dim)) + 1j * rng.normal(size=(n * out_dim, in_dim))
+        isometry = np.linalg.qr(a)[0].reshape(n, out_dim, in_dim)
+        ch = QuantumChannel(np.sqrt(1 + 1e-12) * isometry)
+        assert (ch.in_dim, ch.out_dim) == (in_dim, out_dim)
+        with pytest.raises(NotTracePreservingError, match=r"^max \|sum\(K\^dag K\) - I\| = 1\.000e-09 > 1e-10$"):
+            QuantumChannel(np.sqrt(1 + 1e-9) * isometry)
 
     def test_input_is_neither_aliased_nor_frozen(self):
         op = np.array(H)

@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 
 import nmecut
-from nmecut.channels import QuantumChannel, measure_prepare_channel, unitary_channel
+from nmecut.channels import QuantumChannel, conjugate_channel, measure_prepare_channel, unitary_channel
 from nmecut.errors import InvalidParameterError, NmecutError, OutOfRangeError, ZeroShotsError
 from nmecut.estimator import MAX_SHOTS, RandomSource, allocate_shots, estimate_cut_expectation, exact_expectation
 from nmecut.experiment import ExperimentConfig
-from nmecut.linalg import I2, Z, DensityOperator, PureState, as_matrix, kron
+from nmecut.linalg import I2, H, Z, DensityOperator, PureState, as_matrix, kron
 from nmecut.qpd import QpdTerm, QuasiProbDecomposition, nme_wire_cut, reconstruct_channel
 from nmecut.states import m_distillation_norm
 
@@ -113,6 +113,9 @@ def test_open_bound_is_not_printed():
         (lambda: QuasiProbDecomposition(5), "iterable of QpdTerm, got int"),
         (lambda: QpdTerm(1.0, "chan"), "QuantumChannel, got str"),
         (lambda: QpdTerm(1.0, measure_prepare_channel(I2), consumes_resource="no"), "bool, got str"),
+        # These two used to end in a bare AttributeError on `in_dim`.
+        (lambda: conjugate_channel(H, "x"), "QuantumChannel, got str"),
+        (lambda: conjugate_channel(H, np.eye(2)), "QuantumChannel, got ndarray"),
     ],
     ids=[
         "estimate_cut_expectation",
@@ -122,6 +125,8 @@ def test_open_bound_is_not_printed():
         "decomposition-not-iterable",
         "term-channel",
         "term-flag",
+        "conjugate-string",
+        "conjugate-bare-matrix",
     ],
 )
 def test_wrong_type_is_named(call, message):

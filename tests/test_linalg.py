@@ -27,6 +27,7 @@ from nmecut.linalg import (
     Z,
     DensityOperator,
     PureState,
+    _identity,
     as_matrix,
     as_unitary,
     check_hermitian,
@@ -95,6 +96,25 @@ class TestPauliBasis:
     def test_other_dimension_is_a_named_error(self):
         with pytest.raises(InvalidParameterError, match="dim must be one of"):
             pauli_basis(3)
+
+
+class TestIdentityChecks:
+    @pytest.mark.parametrize("dim", [2, 4, 8])
+    def test_identity_is_built_once_and_read_only(self, dim):
+        eye = _identity(dim)
+        np.testing.assert_array_equal(eye, np.eye(dim))
+        assert eye.dtype == np.float64 and _identity(dim) is eye
+        with pytest.raises(ValueError):
+            eye[0, 0] = 2.0
+
+    @pytest.mark.parametrize("dim", [2, 4, 8])
+    def test_unitary_boundary(self, dim):
+        # sqrt(1 + delta) U has U^dag U = (1 + delta) I.
+        rng = np.random.default_rng(dim)
+        u = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))[0]
+        as_unitary(np.sqrt(1 + 1e-12) * u)
+        with pytest.raises(NotUnitaryError, match=r"^max \|U\^dag U - I\| = 1\.000e-09 > 1e-10$"):
+            as_unitary(np.sqrt(1 + 1e-9) * u)
 
 
 class TestAsMatrix:

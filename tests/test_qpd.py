@@ -8,9 +8,17 @@ import numpy as np
 import pytest
 
 from nmecut.errors import DimensionMismatchError, InvalidParameterError, OutOfRangeError
-from nmecut.channels import QuantumChannel, measure_prepare_flip_channel, unitary_channel
+from nmecut.channels import (
+    QuantumChannel,
+    conjugate_channel,
+    measure_prepare_flip_channel,
+    teleportation_channel,
+    unitary_channel,
+)
 from nmecut.linalg import I2, PAULIS
 from nmecut.qpd import (
+    U1,
+    U2,
     QpdTerm,
     QuasiProbDecomposition,
     harada_wire_cut,
@@ -115,6 +123,16 @@ class TestNmeWireCut:
             measure_prepare_flip_channel().name = "renamed"
         assert nme_wire_cut(0.5).describe() == before
         assert measure_prepare_flip_channel().name == "measure-prepare-flip"
+
+    @pytest.mark.parametrize("k", [0.0, 1e-300, 0.37, 0.5, 1.0, 3.0, 1e300])
+    def test_teleport_terms_have_the_bits_of_conjugate_channel(self, k):
+        # nme_wire_cut conjugates by both frames in one broadcast product; the checked one-frame
+        # entry point is its oracle, to the bit.
+        tel = teleportation_channel(nme_state(k).density())
+        teleport_terms = [t for t in nme_wire_cut(k).terms if t.consumes_resource]
+        assert [t.channel.name for t in teleport_terms] == ["teleport[H]", "teleport[SH]"]
+        for term, u in zip(teleport_terms, (U1, U2)):
+            assert np.array_equal(term.channel.kraus, conjugate_channel(u, tel).kraus)
 
     def test_invalid_parameter(self):
         with pytest.raises(InvalidParameterError):
