@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from helpers import assert_matches_golden
+from helpers import DATA_DIR, assert_matches_golden
 from nmecut import cli
 from nmecut.cli import main
 from nmecut.estimator import MODES
@@ -335,6 +335,14 @@ class TestPlot:
         svg = out.read_text()
         assert svg.count("<polyline") == 2
         assert "f = 0.5" in svg and "f = 1" in svg
+
+    def test_matches_committed_golden_svg(self, tmp_path, capsys):
+        # The chart is drawn from the CSV by Python's float formatting alone, with no numpy stream,
+        # so its bytes are compared directly rather than through the numpy provenance of the CSVs.
+        out = tmp_path / "golden.svg"
+        args = ["plot", "--in", str(DATA_DIR / "golden_stratified_paired.csv"), "--out", str(out)]
+        assert run_cli(args, capsys)[0] == 0
+        assert out.read_bytes() == (DATA_DIR / "golden_stratified_paired.svg").read_bytes()
 
     def test_assert_passes_on_sweep(self, sweep_csv, tmp_path, capsys):
         code, out, _ = run_cli(
