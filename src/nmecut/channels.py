@@ -5,10 +5,11 @@ conjugations, basis measure-and-prepare maps, the measure-and-flip map, and
 the teleportation channel for any two-qubit `DensityOperator` resource in
 both its analytic (Bell-overlap) and explicit-circuit forms.  A channel is a
 frozen value owning one read-only complex (n, out, in) Kraus array, which only
-this module reads: each construction, check and contraction (`act`, `dual`,
-`choi`) is an array operation.  Choi matrices are derived on demand and cached,
-and the constant measure-and-flip channel is built once; equality of Choi
-matrices is the canonical channel-equality witness used throughout the tests.
+this module reads: each construction, check and contraction (`act`, `choi`) is
+an array operation.  The Bell table lives here, beside the overlaps that read
+it.  Choi matrices are derived on demand and cached, and the constant
+measure-and-flip channel is built once; equality of Choi matrices is the
+canonical channel-equality witness used throughout the tests.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import numpy as np
 from .errors import DimensionMismatchError, InvalidParameterError, NotTracePreservingError
 from .linalg import (
     CNOT,
+    PAULIS,
     H,
     I2,
     NORM_TOL,
@@ -34,20 +36,19 @@ from .linalg import (
     as_unitary,
     check_two_qubit,
     dagger,
-    kron,
     pauli_basis,
 )
-from .states import _BELL_VECTORS
 
 TRACE_PRESERVING_TOL = 1e-10
 
 # The teleportation circuit on qubits (A, B, C): CNOT(A -> B) then H on A, as
 # a tensor [a, b, out, p, j] from input |p>_A |j>_BC to outcome |a, b>_AB |out>_C.
-_BELL_MEASUREMENT = kron(kron(H, I2) @ CNOT, I2).reshape(2, 2, 2, 2, 4)
+_BELL_MEASUREMENT = np.kron(np.kron(H, I2) @ CNOT, I2).reshape(2, 2, 2, 2, 4)
 # The receiver's correction Z^a X^b for each outcome, indexed [a, b, row, col].
 _CORRECTIONS = np.array([[I2, X], [Z, Z @ X]])
+_PHI = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / np.sqrt(2.0)
 # B: row sigma is the Bell vector (sigma x I)|phi>, in the order of PAULIS.
-_BELL_ROWS = np.array(list(_BELL_VECTORS.values()))
+_BELL_ROWS = np.array([np.kron(sigma, I2) @ _PHI for sigma in PAULIS.values()])
 _BELL_ROWS.flags.writeable = False
 
 
@@ -57,8 +58,8 @@ class QuantumChannel:
 
     `kraus` is a read-only complex (n, out_dim, in_dim) array, copied from
     the caller's stack of operators.  The channel is frozen, so it can be shared.
-    It maps states (`act`) and observables (`dual`); the Choi matrix is computed
-    lazily and cached (idempotent, safe under concurrent first access).
+    It maps states (`act`); the Choi matrix is computed lazily and cached
+    (idempotent, safe under concurrent first access).
     """
 
     kraus: Matrix = field(repr=False)
@@ -85,10 +86,6 @@ class QuantumChannel:
     def act(self, rho: Matrix) -> Matrix:
         """sum_i K_i rho K_i^dag on a raw (..., in_dim, in_dim) stack of matrices, unchecked."""
         return np.einsum("kij,...jl,kml->...im", self.kraus, rho, self.kraus.conj())
-
-    def dual(self, observable: Matrix) -> Matrix:
-        """sum_i K_i^dag O K_i, the Heisenberg picture of a raw (out_dim, out_dim) observable, unchecked."""
-        return (dagger(self.kraus) @ observable @ self.kraus).sum(axis=0)
 
     @cached_property
     def choi(self) -> Matrix:
@@ -139,7 +136,7 @@ def measure_prepare_flip_channel() -> QuantumChannel:
 
 def bell_overlaps(rho: DensityOperator) -> dict[str, float]:
     """Overlaps <phi_sigma| rho |phi_sigma> with the four Bell states: nonnegative up to float noise, summing to 1."""
-    return dict(zip(_BELL_VECTORS, _bell_weights(rho).tolist()))
+    return dict(zip(PAULIS, _bell_weights(rho).tolist()))
 
 
 def _bell_weights(rho: DensityOperator) -> np.ndarray:

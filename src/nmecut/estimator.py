@@ -24,7 +24,7 @@ from .errors import (
     ZeroShotsError,
     _shown,
 )
-from .linalg import Matrix, _identity, _instance, _integer, as_matrix, as_unitary, check_hermitian, pauli_basis
+from .linalg import Matrix, _identity, _instance, _integer, _one_of, as_matrix, as_unitary, check_hermitian, pauli_basis
 from .qpd import QuasiProbDecomposition
 
 OBSERVABLE_TOL = 1e-10
@@ -155,8 +155,7 @@ def _budget(qpd: QuasiProbDecomposition, total_shots: int, mode: str) -> _Budget
     total_shots = _integer("total_shots", total_shots, hi=MAX_SHOTS)
     if total_shots < 1:
         raise ZeroShotsError(f"total_shots must be >= 1, got {_shown(total_shots)}")
-    if mode not in MODES:
-        raise InvalidParameterError(f"mode must be one of {MODES}, got {mode!r}")
+    _one_of("mode", mode, MODES)
     coefficients = tuple(float(t.coefficient) for t in qpd.terms)
     if mode == "stratified":
         return _Budget(total_shots, allocate_shots(qpd, total_shots), coefficients)

@@ -28,7 +28,7 @@ import numpy as np
 from .errors import InvalidParameterError, NmecutError, _shown
 from .estimator import MAX_SHOTS, MODES, RandomSource, RngLike, as_generator
 from .estimator import _budget, _draw_cell, _plus_probabilities, _rekey
-from .linalg import Z, _integer, _require_real, as_matrix
+from .linalg import Z, _integer, _one_of, _require_real, as_matrix
 from .qpd import nme_wire_cut
 from .states import checked_k, checked_overlap, k_from_f
 
@@ -89,8 +89,7 @@ class ExperimentConfig:
         object.__setattr__(self, "seed", RandomSource(self.seed).seed)
         if not isinstance(self.paired, bool):
             raise InvalidParameterError(f"paired must be true or false, got {self.paired!r}")
-        if self.mode not in MODES:
-            raise InvalidParameterError(f"unknown mode {self.mode!r}")
+        _one_of("mode", self.mode, MODES)
 
     @classmethod
     def from_mapping(cls, values: object) -> ExperimentConfig:
@@ -297,6 +296,17 @@ _MARGIN_TOP = 30
 _MARGIN_BOTTOM = 55
 
 
+def _text(x: object, y: object, label: str, size: int = 12, anchor: str | None = "middle", transform: str = "") -> str:
+    """One SVG <text> element at (x, y) as the caller formats them; a None anchor leaves text-anchor out."""
+    attributes = f'x="{x}" y="{y}" font-size="{size}"'
+    if anchor is not None:
+        attributes += f' text-anchor="{anchor}"'
+    attributes += ' font-family="sans-serif"'
+    if transform:
+        attributes += f' transform="{transform}"'
+    return f"<text {attributes}>{label}</text>"
+
+
 def render_svg(records: Sequence[ExperimentRecord], path: str) -> None:
     """Log-y line chart of avg_error vs shots, one series per f value.
 
@@ -348,10 +358,7 @@ def render_svg(records: Sequence[ExperimentRecord], path: str) -> None:
         parts.append(
             f'<line x1="{_MARGIN_LEFT - 4}" y1="{y:.2f}" x2="{_MARGIN_LEFT}" y2="{y:.2f}" stroke="black"/>'
         )
-        parts.append(
-            f'<text x="{_MARGIN_LEFT - 8}" y="{y + 4:.2f}" font-size="12" text-anchor="end" '
-            f'font-family="sans-serif">1e{decade}</text>'
-        )
+        parts.append(_text(_MARGIN_LEFT - 8, f"{y + 4:.2f}", f"1e{decade}", anchor="end"))
     # x-axis: at most 8 evenly spaced ticks drawn from the shot grid.
     xticks = sorted({r.shots for r in records})
     step = max(1, math.ceil(len(xticks) / 8))
@@ -361,19 +368,10 @@ def render_svg(records: Sequence[ExperimentRecord], path: str) -> None:
             f'<line x1="{x:.2f}" y1="{_MARGIN_TOP + plot_h}" x2="{x:.2f}" '
             f'y2="{_MARGIN_TOP + plot_h + 4}" stroke="black"/>'
         )
-        parts.append(
-            f'<text x="{x:.2f}" y="{_MARGIN_TOP + plot_h + 18}" font-size="12" '
-            f'text-anchor="middle" font-family="sans-serif">{shots}</text>'
-        )
-    parts.append(
-        f'<text x="{_MARGIN_LEFT + plot_w / 2:.2f}" y="{_SVG_HEIGHT - 12}" font-size="13" '
-        'text-anchor="middle" font-family="sans-serif">total shots</text>'
-    )
-    parts.append(
-        f'<text x="18" y="{_MARGIN_TOP + plot_h / 2:.2f}" font-size="13" text-anchor="middle" '
-        f'font-family="sans-serif" transform="rotate(-90 18 {_MARGIN_TOP + plot_h / 2:.2f})">'
-        "average error</text>"
-    )
+        parts.append(_text(f"{x:.2f}", _MARGIN_TOP + plot_h + 18, str(shots)))
+    parts.append(_text(f"{_MARGIN_LEFT + plot_w / 2:.2f}", _SVG_HEIGHT - 12, "total shots", size=13))
+    y_title = f"{_MARGIN_TOP + plot_h / 2:.2f}"
+    parts.append(_text(18, y_title, "average error", size=13, transform=f"rotate(-90 18 {y_title})"))
 
     for idx, f in enumerate(sorted(points)):
         pts = points[f]
@@ -390,10 +388,7 @@ def render_svg(records: Sequence[ExperimentRecord], path: str) -> None:
             f'<rect x="{_SVG_WIDTH - _MARGIN_RIGHT + 14}" y="{legend_y - 9}" width="12" '
             f'height="12" fill="{color}"/>'
         )
-        parts.append(
-            f'<text x="{_SVG_WIDTH - _MARGIN_RIGHT + 32}" y="{legend_y + 2}" font-size="12" '
-            f'font-family="sans-serif">f = {f:g}</text>'
-        )
+        parts.append(_text(_SVG_WIDTH - _MARGIN_RIGHT + 32, legend_y + 2, f"f = {f:g}", anchor=None))
 
     parts.append("</svg>")
     with _replacing(path) as handle:

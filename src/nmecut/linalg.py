@@ -5,7 +5,8 @@ matrices.  Qubit ordering convention: the leftmost tensor factor is qubit 0
 and the most significant bit of a computational-basis index.  A state is
 its array: `PureState` and `DensityOperator` read `dim` from its shape, and
 `check_two_qubit` is the one check of a two-qubit state argument.  Each kind
-of argument has one door: `as_matrix`, `_integer`, `_require_real`, `_instance`.
+of argument has one door: `as_matrix`, `_integer`, `_require_real`, `_instance`,
+`_one_of`.
 """
 
 from __future__ import annotations
@@ -134,11 +135,6 @@ def as_unitary(u: npt.ArrayLike) -> Matrix:
     return u
 
 
-def kron(a: npt.ArrayLike, b: npt.ArrayLike) -> Matrix:
-    """Kronecker product with the first factor as the most significant qubit."""
-    return np.kron(as_matrix(a), as_matrix(b))
-
-
 def check_two_qubit(state: object, kind: type[T]) -> T:
     """Returns `state`; InvalidParameterError unless it is a `kind`, DimensionMismatchError unless its dim is 4."""
     if _instance(state, kind).dim != 4:
@@ -146,11 +142,11 @@ def check_two_qubit(state: object, kind: type[T]) -> T:
     return state
 
 
-def _qubit_dim(dim: int) -> int:
-    """`dim` if it is the dimension of 1-3 qubits; InvalidParameterError otherwise."""
-    if dim not in VALID_DIMS:
-        raise InvalidParameterError(f"dim must be one of {VALID_DIMS}, got {dim}")
-    return dim
+def _one_of(name: str, value: T, choices: tuple[T, ...]) -> T:
+    """`value`; InvalidParameterError unless it is one of `choices`."""
+    if value not in choices:
+        raise InvalidParameterError(f"{name} must be one of {choices}, got {_shown(value, repr)}")
+    return value
 
 
 @cache
@@ -158,11 +154,11 @@ def pauli_basis(dim: int) -> Matrix:
     """Read-only (dim^2, dim, dim) stack of the Pauli strings on 1-3 qubits.
 
     Each qubit takes I, X, Y, Z in the order of PAULIS, and the first factor is
-    the most significant digit of the index, as in `kron`.
+    the most significant digit of the index, as in `np.kron`.
     """
     single = np.array(list(PAULIS.values()))
     basis = single
-    while len(basis[0]) < _qubit_dim(dim):
+    while len(basis[0]) < _one_of("dim", dim, VALID_DIMS):
         basis = np.array([np.kron(p, q) for p in basis for q in single])
     basis.flags.writeable = False
     return basis
@@ -177,7 +173,7 @@ class DensityOperator:
 
     def __post_init__(self) -> None:
         m = check_hermitian(as_matrix(self.matrix))
-        object.__setattr__(self, "dim", _qubit_dim(m.shape[0]))
+        object.__setattr__(self, "dim", _one_of("dim", m.shape[0], VALID_DIMS))
         tr = m.trace()
         if abs(tr - 1.0) > TRACE_TOL:
             raise NotUnitTraceError(f"|tr(M) - 1| = {abs(tr - 1.0):.3e} > {TRACE_TOL}")
@@ -198,7 +194,7 @@ class PureState:
 
     def __post_init__(self) -> None:
         v = as_matrix(self.amplitudes, ndim=1, name="amplitudes")
-        object.__setattr__(self, "dim", _qubit_dim(v.shape[0]))
+        object.__setattr__(self, "dim", _one_of("dim", v.shape[0], VALID_DIMS))
         nrm = float(np.linalg.norm(v))
         if abs(nrm - 1.0) > NORM_TOL:
             raise InvalidParameterError(f"|norm - 1| = {abs(nrm - 1.0):.3e} > {NORM_TOL}")

@@ -1,6 +1,6 @@
 """State families for the wire-cutting protocol.
 
-Covers the Bell basis, the one-parameter family of partially entangled pairs
+Covers the one-parameter family of partially entangled pairs
 
     |phi_k> = K (|00> + k |11>),   K = 1 / sqrt(1 + k^2),   k >= 0,
 
@@ -21,13 +21,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidParameterError, OutOfRangeError, _shown
-from .linalg import PAULIS, TRACE_TOL, I2, PureState, _integer, _require_real, as_matrix, check_two_qubit, kron
+from .linalg import TRACE_TOL, PureState, _integer, _require_real, as_matrix, check_two_qubit
 
 RANGE_TOL = 1e-12
-
-_PHI = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / np.sqrt(2.0)
-# Bell vectors (sigma x I)|phi>, built once: bell_state reads them; bell_overlaps reads them as one table.
-_BELL_VECTORS = {name: kron(sigma, I2) @ _PHI for name, sigma in PAULIS.items()}
 
 
 @dataclass(frozen=True, eq=False)
@@ -43,19 +39,6 @@ class SchmidtForm:
     left_basis: tuple[PureState, PureState]
     right_basis: tuple[PureState, PureState]
 
-    @property
-    def k(self) -> float:
-        """Coefficient ratio p1/p0 (p0 >= 1/sqrt(2) > 0 for unit vectors)."""
-        p0, p1 = self.coefficients
-        return p1 / p0
-
-    def reconstruct(self) -> np.ndarray:
-        """p0 |xi0>|zeta0> + p1 |xi1>|zeta1> as a 4-vector."""
-        p0, p1 = self.coefficients
-        out = p0 * np.kron(self.left_basis[0].amplitudes, self.right_basis[0].amplitudes)
-        out = out + p1 * np.kron(self.left_basis[1].amplitudes, self.right_basis[1].amplitudes)
-        return out
-
 
 def nme_state(k: float) -> PureState:
     """The pair K(|00> + k|11>): separable at k=0, maximally entangled at k=1."""
@@ -66,13 +49,6 @@ def nme_state(k: float) -> PureState:
     else:
         norm = 1.0 / math.sqrt(1.0 + k * k)
     return PureState(norm * np.array([1.0, 0.0, 0.0, k]))
-
-
-def bell_state(sigma: str) -> PureState:
-    """Bell-basis vector (sigma x I)|phi> for sigma in {I, X, Y, Z}."""
-    if sigma not in PAULIS:
-        raise InvalidParameterError(f"sigma must be one of {sorted(PAULIS)}, got {sigma!r}")
-    return PureState(_BELL_VECTORS[sigma])
 
 
 def schmidt_decompose(psi: PureState) -> SchmidtForm:
@@ -180,4 +156,5 @@ def k_from_f(f: float) -> float:
         return 0.0
     # Quadratic c*k^2 + 2k + c = 0; the root in [0, 1] is (-1 + sqrt(1-c^2))/c.
     k = (-1.0 + math.sqrt(max(0.0, 1.0 - c * c))) / c
-    return min(max(k, 0.0), 1.0)
+    # max returns its first argument of a tie, so a root of -0.0 (f just above 1/2) becomes 0.0.
+    return min(max(0.0, k), 1.0)

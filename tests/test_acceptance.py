@@ -20,7 +20,7 @@ from nmecut.channels import (
 from nmecut.cli import main as cli_main
 from nmecut.estimator import RandomSource, estimate_cut_expectation, exact_expectation
 from nmecut.experiment import haar_random_unitary, loglog_slope
-from nmecut.linalg import I2, Z, DensityOperator, PureState, kron
+from nmecut.linalg import I2, Z, DensityOperator, PureState
 from nmecut.qpd import harada_wire_cut, nme_wire_cut, reconstruct_channel
 from nmecut.states import m_distillation_norm, nme_state, overlap_f_pure, schmidt_decompose
 
@@ -95,7 +95,7 @@ def test_criterion_3_distillation_norm_and_overlap():
                 [np.exp(1j * phi) * math.sin(theta / 2), np.exp(1j * (phi + lam)) * math.cos(theta / 2)],
             ]
         )
-        rotated = PureState(kron(ua, ub) @ psi.amplitudes)
+        rotated = PureState(np.kron(ua, ub) @ psi.amplitudes)
         ok &= abs(overlap_f_pure(rotated) - overlap_f_pure(psi)) <= 1e-10
     report("3 distillation norm and overlap", bool(ok))
 

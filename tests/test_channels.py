@@ -13,6 +13,7 @@ from nmecut.errors import (
     NotUnitaryError,
 )
 from nmecut.channels import (
+    _BELL_ROWS,
     QuantumChannel,
     bell_overlaps,
     conjugate_channel,
@@ -23,7 +24,9 @@ from nmecut.channels import (
     unitary_channel,
 )
 from nmecut.linalg import H, I2, PAULIS, S, X, Y, Z, DensityOperator, PureState
-from nmecut.states import bell_state, nme_state
+from nmecut.states import nme_state
+
+BELL_VECTORS = dict(zip(PAULIS, _BELL_ROWS))  # the table bell_overlaps reads, by label
 
 
 def identity_choi():
@@ -119,6 +122,24 @@ class TestBasisChecks:
         np.testing.assert_allclose(got, expected, atol=1e-15)
 
 
+class TestBellTable:
+    def test_identity_row(self):
+        np.testing.assert_allclose(BELL_VECTORS["I"], [1, 0, 0, 1] / np.sqrt(2), atol=1e-15)
+
+    def test_x_row_permutes(self):
+        np.testing.assert_allclose(BELL_VECTORS["X"], [0, 1, 1, 0] / np.sqrt(2), atol=1e-15)
+
+    def test_z_row_flips_sign(self):
+        np.testing.assert_allclose(BELL_VECTORS["Z"], [1, 0, 0, -1] / np.sqrt(2), atol=1e-15)
+
+    def test_orthonormal_basis(self):
+        np.testing.assert_allclose(_BELL_ROWS.conj() @ _BELL_ROWS.T, np.eye(4), atol=1e-14)
+
+    def test_read_only(self):
+        with pytest.raises(ValueError):
+            _BELL_ROWS[0, 0] = 0.0
+
+
 class TestBellOverlaps:
     def test_half_entangled_frozen_values(self):
         # Oracle: explicit inner products with the four Bell vectors.
@@ -167,7 +188,7 @@ class TestBellOverlaps:
             got = bell_overlaps(rho)
             assert list(got) == list(PAULIS)
             for name, value in got.items():
-                v = bell_state(name).amplitudes
+                v = BELL_VECTORS[name]
                 assert value == float(np.real(v.conj() @ rho.matrix @ v))
 
 

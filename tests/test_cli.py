@@ -186,6 +186,14 @@ class TestExperiment:
         assert len(rows) == 2
         assert rows[1].split(",")[-1] == "2"  # flag overrides the file's n_states
 
+    def test_f_just_above_one_half_writes_k_as_positive_zero(self, tmp_path, capsys):
+        out_path = tmp_path / "near_half.csv"
+        args = ["experiment", "--f", "0.5000000001", "--shots", "250", "500", "--n-states", "20", "--out", str(out_path)]
+        code, out, _ = run_cli(args, capsys)
+        assert code == 0
+        assert [row.split(",")[1] for row in out_path.read_text().splitlines()[1:]] == ["0.0", "0.0"]
+        assert [line.split()[1] for line in out.splitlines()[2:]] == ["0", "0"]
+
     def test_invalid_config_exits_two(self, tmp_path, capsys):
         code, _, err = run_cli(
             ["experiment", "--f", "0.2", "--out", str(tmp_path / "x.csv")], capsys

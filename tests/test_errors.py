@@ -12,7 +12,7 @@ from nmecut.channels import QuantumChannel, conjugate_channel, measure_prepare_c
 from nmecut.errors import InvalidParameterError, NmecutError, OutOfRangeError, ZeroShotsError
 from nmecut.estimator import MAX_SHOTS, RandomSource, allocate_shots, estimate_cut_expectation, exact_expectation
 from nmecut.experiment import ExperimentConfig
-from nmecut.linalg import I2, H, Z, DensityOperator, PureState, as_matrix, kron
+from nmecut.linalg import I2, H, Z, DensityOperator, PureState, as_matrix
 from nmecut.qpd import QpdTerm, QuasiProbDecomposition, nme_wire_cut, reconstruct_channel
 from nmecut.states import m_distillation_norm
 
@@ -22,7 +22,6 @@ ARRAY_ARGUMENTS = {
     "estimate_cut_expectation": lambda a: estimate_cut_expectation(nme_wire_cut(0.5), a, Z, 10, RandomSource(1)),
     "unitary_channel": unitary_channel,
     "measure_prepare_channel": measure_prepare_channel,
-    "kron": lambda a: kron(a, I2),
     "as_matrix": as_matrix,
     "DensityOperator": DensityOperator,
     "PureState": PureState,
@@ -132,6 +131,21 @@ def test_open_bound_is_not_printed():
 def test_wrong_type_is_named(call, message):
     with pytest.raises(InvalidParameterError, match=f"^expected an? {message}$"):
         call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda mode: ExperimentConfig(mode=mode),
+        lambda mode: estimate_cut_expectation(nme_wire_cut(0.5), I2, Z, 10, RandomSource(1), mode=mode),
+    ],
+    ids=["ExperimentConfig", "estimate_cut_expectation"],
+)
+@pytest.mark.parametrize("mode", ["x", "Stratified", None])
+def test_both_mode_doors_give_one_message(call, mode):
+    with pytest.raises(InvalidParameterError) as caught:
+        call(mode)
+    assert str(caught.value) == f"mode must be one of ('stratified', 'multinomial'), got {mode!r}"
 
 
 @pytest.mark.parametrize("kraus", [5, np.eye(2)], ids=["int", "bare-matrix"])

@@ -2,8 +2,6 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import nmecut
 from nmecut.channels import (
@@ -31,50 +29,9 @@ from nmecut.linalg import (
     as_matrix,
     as_unitary,
     check_hermitian,
-    kron,
     pauli_basis,
 )
 from nmecut.states import overlap_f_pure, schmidt_decompose
-
-
-def small_complex_matrices(rows, cols):
-    elems = st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False)
-    return st.lists(elems, min_size=rows * cols, max_size=rows * cols).map(
-        lambda xs: np.array(xs, dtype=complex).reshape(rows, cols)
-    )
-
-
-class TestKron:
-    def test_identity_case(self):
-        np.testing.assert_array_equal(kron(I2, I2), np.eye(4))
-
-    def test_pauli_z_sign_pattern(self):
-        np.testing.assert_array_equal(kron(Z, Z), np.diag([1, -1, -1, 1]).astype(complex))
-
-    def test_projector_block_structure(self):
-        p0 = np.array([[1, 0], [0, 0]], dtype=complex)
-        expected = np.zeros((4, 4), dtype=complex)
-        expected[:2, :2] = X
-        np.testing.assert_array_equal(kron(p0, X), expected)
-
-    def test_dimensions(self):
-        out = kron(np.ones((2, 3)), np.ones((4, 5)))
-        assert out.shape == (8, 15)
-
-    @settings(max_examples=50, deadline=None)
-    @given(
-        a=small_complex_matrices(2, 2),
-        b=small_complex_matrices(2, 2),
-        c=small_complex_matrices(2, 2),
-    )
-    def test_associativity(self, a, b, c):
-        left = kron(kron(a, b), c)
-        right = kron(a, kron(b, c))
-        np.testing.assert_allclose(left, right, atol=1e-14)
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(InvalidParameterError):
-            kron(np.array([[np.nan, 0], [0, 1]]), I2)
 
 
 class TestPauliBasis:
@@ -88,7 +45,7 @@ class TestPauliBasis:
             digits = [a // 4 ** q % 4 for q in reversed(range(dim.bit_length() - 1))]
             expected = single[digits[0]]
             for digit in digits[1:]:
-                expected = kron(expected, single[digit])
+                expected = np.kron(expected, single[digit])
             np.testing.assert_array_equal(basis[a], expected)
         # Orthogonal: tr(P_a P_b) = dim when a = b, else 0.
         np.testing.assert_allclose(np.einsum("aij,bji->ab", basis, basis), dim * np.eye(dim * dim), atol=0)

@@ -11,12 +11,11 @@ from hypothesis import strategies as st
 
 from helpers import hurwitz_unitary, random_pure_vector
 from nmecut.errors import InvalidParameterError, OutOfRangeError
-from nmecut.linalg import H, I2, PureState, kron
-from nmecut.channels import unitary_channel
+from nmecut.linalg import H, I2, PureState
+from nmecut.channels import _BELL_ROWS, unitary_channel
 from nmecut.experiment import DEFAULT_F_VALUES
 from nmecut.qpd import QpdTerm, nme_wire_cut
 from nmecut.states import (
-    bell_state,
     checked_k,
     checked_overlap,
     k_from_f,
@@ -58,50 +57,32 @@ class TestNmeState:
         assert nme_state(1.0).amplitudes[0].real == pytest.approx(1 / math.sqrt(2), abs=1e-15)
 
 
-class TestBellState:
-    def test_identity_label(self):
-        np.testing.assert_allclose(bell_state("I").amplitudes, PHI_VECTOR, atol=1e-15)
-
-    def test_x_label_permutes(self):
-        np.testing.assert_allclose(
-            bell_state("X").amplitudes, [0, 1, 1, 0] / np.sqrt(2), atol=1e-15
-        )
-
-    def test_z_label_flips_sign(self):
-        np.testing.assert_allclose(
-            bell_state("Z").amplitudes, [1, 0, 0, -1] / np.sqrt(2), atol=1e-15
-        )
-
-    def test_orthonormal_basis(self):
-        vectors = [bell_state(s).amplitudes for s in "IXYZ"]
-        gram = np.array([[vi.conj() @ vj for vj in vectors] for vi in vectors])
-        np.testing.assert_allclose(gram, np.eye(4), atol=1e-14)
-
-    def test_invalid_label(self):
-        with pytest.raises(InvalidParameterError):
-            bell_state("Q")
+def schmidt_ratio(form) -> float:
+    """Coefficient ratio p1/p0, the k of the family member with these coefficients."""
+    p0, p1 = form.coefficients
+    return p1 / p0
 
 
 class TestSchmidtDecompose:
     def test_bell_state_coefficients(self):
         form = schmidt_decompose(nme_state(1.0))
         np.testing.assert_allclose(form.coefficients, [1 / np.sqrt(2)] * 2, atol=1e-12)
-        assert form.k == pytest.approx(1.0, abs=1e-12)
+        assert schmidt_ratio(form) == pytest.approx(1.0, abs=1e-12)
 
     def test_product_state(self):
         psi = PureState(np.array([0, 1, 0, 0], dtype=complex))  # |01>
         form = schmidt_decompose(psi)
         np.testing.assert_allclose(form.coefficients, [1.0, 0.0], atol=1e-12)
-        assert form.k == pytest.approx(0.0, abs=1e-12)
+        assert schmidt_ratio(form) == pytest.approx(0.0, abs=1e-12)
 
     def test_local_unitary_preserves_coefficients(self):
         # Oracle: Schmidt coefficients are the singular values of the 2x2
         # amplitude matrix, invariant under one-sided unitaries.
         psi = nme_state(0.5)
-        rotated = PureState(kron(H, I2) @ psi.amplitudes)
+        rotated = PureState(np.kron(H, I2) @ psi.amplitudes)
         form = schmidt_decompose(rotated)
         np.testing.assert_allclose(form.coefficients, [2 / SQRT5, 1 / SQRT5], atol=1e-12)
-        assert form.k == pytest.approx(0.5, abs=1e-12)
+        assert schmidt_ratio(form) == pytest.approx(0.5, abs=1e-12)
 
     def test_reconstruction_and_orthonormality_random(self):
         rng = np.random.default_rng(21)
@@ -113,7 +94,9 @@ class TestSchmidtDecompose:
             assert p0 * p0 + p1 * p1 == pytest.approx(1.0, abs=1e-12)
             for pair in (form.left_basis, form.right_basis):
                 assert abs(pair[0].amplitudes.conj() @ pair[1].amplitudes) <= 1e-10
-            np.testing.assert_allclose(form.reconstruct(), psi.amplitudes, atol=1e-10)
+            (xi0, xi1), (zeta0, zeta1) = form.left_basis, form.right_basis
+            rebuilt = p0 * np.kron(xi0.amplitudes, zeta0.amplitudes) + p1 * np.kron(xi1.amplitudes, zeta1.amplitudes)
+            np.testing.assert_allclose(rebuilt, psi.amplitudes, atol=1e-10)
 
     def test_coefficients_match_reduced_spectrum(self):
         # Independent oracle: squared coefficients are the eigenvalues of the
@@ -232,7 +215,7 @@ class TestOverlapF:
         for _ in range(100):
             k = rng.uniform(0.0, 1.0)
             psi = nme_state(k)
-            u = kron(hurwitz_unitary(rng), hurwitz_unitary(rng))
+            u = np.kron(hurwitz_unitary(rng), hurwitz_unitary(rng))
             rotated = PureState(u @ psi.amplitudes)
             assert overlap_f_pure(rotated) == pytest.approx(
                 overlap_f_pure(psi), abs=1e-10
@@ -273,12 +256,12 @@ class TestOverlapFAgainstSchmidtOracle:
 
     def test_near_maximal_states(self):
         rng = np.random.default_rng(2104)
-        for sigma in ("I", "X", "Y", "Z"):
-            assert overlap_f_pure(bell_state(sigma)) == pytest.approx(1.0, abs=1e-12)
-            assert_matches_schmidt_oracle(bell_state(sigma))
+        for row in _BELL_ROWS:
+            assert overlap_f_pure(PureState(row)) == pytest.approx(1.0, abs=1e-12)
+            assert_matches_schmidt_oracle(PureState(row))
         for eps in (1e-3, 1e-6, 1e-9, 1e-12):
             for _ in range(20):
-                u = kron(hurwitz_unitary(rng), hurwitz_unitary(rng))
+                u = np.kron(hurwitz_unitary(rng), hurwitz_unitary(rng))
                 v = u @ PHI_VECTOR + eps * random_pure_vector(rng, 4)
                 assert_matches_schmidt_oracle(PureState(v / np.linalg.norm(v)))
 
@@ -318,6 +301,12 @@ class TestKFromF:
 
     def test_separable(self):
         assert k_from_f(0.5) == pytest.approx(0.0, abs=1e-15)
+
+    @pytest.mark.parametrize("f", [0.5 + 1e-12, 0.5000000001, 0.5 + 3.7e-9])
+    def test_just_above_one_half_is_positive_zero(self, f):
+        # The root's numerator cancels to 0.0 here, and 0.0 / c is -0.0 for c < 0; the CSV would write -0.0.
+        k = k_from_f(f)
+        assert k == 0.0 and math.copysign(1.0, k) == 1.0
 
     def test_interior_value(self):
         oracle = k_from_f_bisect(0.9)
