@@ -14,6 +14,7 @@ import json
 import os
 import sys
 from dataclasses import fields
+from functools import cache
 
 import numpy as np
 
@@ -141,7 +142,9 @@ def cmd_plot(args: argparse.Namespace) -> int:
     return 0
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `nmecut` parser, built once per process; parsing leaves it unchanged, so every `main` call shares it."""
     parser = argparse.ArgumentParser(
         prog="nmecut",
         description="Wire cutting with partially entangled resource states.",

@@ -123,7 +123,11 @@ def allocate_shots(qpd: QuasiProbDecomposition, total: int) -> tuple[int, ...]:
     so that no signed term is silently dropped.
     """
     probs = _instance(qpd, QuasiProbDecomposition).probabilities
-    total = _integer("total", total, lo=0, hi=MAX_SHOTS)
+    return _split(probs, _integer("total", total, lo=0, hi=MAX_SHOTS))
+
+
+def _split(probs: np.ndarray, total: int) -> tuple[int, ...]:
+    """allocate_shots for sampling weights and a shot count in [0, MAX_SHOTS] that the caller has checked."""
     quotas = probs * total
     counts = np.floor(quotas).astype(int)
     remainder = total - int(counts.sum())
@@ -158,7 +162,7 @@ def _budget(qpd: QuasiProbDecomposition, total_shots: int, mode: str) -> _Budget
     _one_of("mode", mode, MODES)
     coefficients = tuple(float(t.coefficient) for t in qpd.terms)
     if mode == "stratified":
-        return _Budget(total_shots, allocate_shots(qpd, total_shots), coefficients)
+        return _Budget(total_shots, _split(qpd.probabilities, total_shots), coefficients)
     beta = sum(-c for c in coefficients if c < 0) / qpd.kappa
     return _Budget(total_shots, None, tuple(c / qpd.kappa for c in coefficients), beta, qpd.kappa)
 

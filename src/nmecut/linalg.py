@@ -144,21 +144,26 @@ def check_two_qubit(state: object, kind: type[T]) -> T:
 
 def _one_of(name: str, value: T, choices: tuple[T, ...]) -> T:
     """`value`; InvalidParameterError unless it is one of `choices`."""
-    if value not in choices:
+    # `in` would compare an array elementwise: ambiguous, or true when a one-element array matches.
+    if isinstance(value, np.ndarray) or value not in choices:
         raise InvalidParameterError(f"{name} must be one of {choices}, got {_shown(value, repr)}")
     return value
 
 
-@cache
 def pauli_basis(dim: int) -> Matrix:
-    """Read-only (dim^2, dim, dim) stack of the Pauli strings on 1-3 qubits.
+    """Read-only (dim^2, dim, dim) stack of the Pauli strings on 1-3 qubits, built once per dim.
 
     Each qubit takes I, X, Y, Z in the order of PAULIS, and the first factor is
     the most significant digit of the index, as in `np.kron`.
     """
+    return _pauli_basis(_one_of("dim", dim, VALID_DIMS))  # checked before the cache, which would fail to hash an array
+
+
+@cache
+def _pauli_basis(dim: int) -> Matrix:
     single = np.array(list(PAULIS.values()))
     basis = single
-    while len(basis[0]) < _one_of("dim", dim, VALID_DIMS):
+    while len(basis[0]) < dim:
         basis = np.array([np.kron(p, q) for p in basis for q in single])
     basis.flags.writeable = False
     return basis

@@ -14,8 +14,8 @@ reads each decomposition's cached Pauli transfer matrices.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache, cached_property
-from math import inf, isfinite
+from functools import cache, cached_property, lru_cache
+from math import copysign, inf, isfinite
 
 import numpy as np
 
@@ -158,9 +158,18 @@ def nme_wire_cut(k: float) -> QuasiProbDecomposition:
 
     The two positive terms conjugate the teleportation channel by H and SH
     and each consume one entangled pair per shot; at k = 1 the negative term
-    has coefficient zero and is omitted.
+    has coefficient zero and is omitted.  k is checked on every call.  The
+    decomposition is immutable, so a bounded cache of recent k shares it:
+    a repeated k returns the one object built for it, with its `ptm` and
+    Choi matrices.
     """
     k = checked_k(k)
+    return _nme_wire_cut(k, copysign(1.0, k))
+
+
+@lru_cache(maxsize=64)  # bounded: a sweep uses a few k, but a caller may ask for any number
+def _nme_wire_cut(k: float, sign: float) -> QuasiProbDecomposition:
+    """nme_wire_cut for a checked k; `sign` keeps -0.0 and 0.0, which compare equal, in entries of their own."""
     a, b = _coefficients(k)
     kraus = _conjugated(_FRAMES, teleportation_channel(nme_state(k).density()).kraus)
     terms = [

@@ -12,6 +12,25 @@ from nmecut import cli
 from nmecut.cli import main
 from nmecut.estimator import MODES
 from nmecut.experiment import CSV_HEADER
+from nmecut.qpd import _nme_wire_cut
+
+
+# Golden CSV name -> the flags its sweep adds to golden_sweep_argv.
+GOLDEN_SWEEPS = {
+    "golden_stratified_paired.csv": [],
+    "golden_multinomial_unpaired.csv": ["--mode", "multinomial", "--unpaired"],
+}
+
+
+def golden_sweep_argv(out_path):
+    return [
+        "experiment",
+        "--f", "0.5", "0.7", "1.0",
+        "--shots", "1", "2", "3", "10", "250", "1000",
+        "--n-states", "20",
+        "--seed", "20240901",
+        "--out", str(out_path),
+    ]
 
 
 def run_cli(args, capsys):
@@ -133,27 +152,33 @@ class TestExperiment:
         assert run_cli(args + ["--out", str(b)], capsys)[0] == 0
         assert a.read_bytes() == b.read_bytes()
 
-    @pytest.mark.parametrize(
-        "golden, extra",
-        [
-            ("golden_stratified_paired.csv", []),
-            ("golden_multinomial_unpaired.csv", ["--mode", "multinomial", "--unpaired"]),
-        ],
-    )
+    @pytest.mark.parametrize("golden, extra", GOLDEN_SWEEPS.items())
     def test_matches_committed_golden_csv(self, golden, extra, tmp_path, capsys):
         # Cross-version pin: budgets of 1-3 shots leave some terms with no
         # shots, so the zero-shot skip path is covered as well.
         out_path = tmp_path / golden
-        args = [
-            "experiment",
-            "--f", "0.5", "0.7", "1.0",
-            "--shots", "1", "2", "3", "10", "250", "1000",
-            "--n-states", "20",
-            "--seed", "20240901",
-            "--out", str(out_path),
-        ]
-        assert run_cli(args + extra, capsys)[0] == 0
+        assert run_cli(golden_sweep_argv(out_path) + extra, capsys)[0] == 0
         assert_matches_golden(out_path.read_bytes(), golden)
+
+    def test_warm_process_writes_the_cold_bytes(self, tmp_path, capsys):
+        # The parser and each k's decomposition are built once per process; reusing them must leak no
+        # flag, default or state between calls, whatever ran before.
+        def sweep(golden, label):
+            out_path = tmp_path / f"{label}-{golden}"
+            assert run_cli(golden_sweep_argv(out_path) + GOLDEN_SWEEPS[golden], capsys)[0] == 0
+            assert_matches_golden(out_path.read_bytes(), golden)
+
+        paired, unpaired = GOLDEN_SWEEPS
+        for golden in (paired, unpaired):
+            cli.build_parser.cache_clear()
+            _nme_wire_cut.cache_clear()
+            sweep(golden, "cold")
+        sweep(unpaired, "warm")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["experiment", "--mode", "bogus"])
+        assert excinfo.value.code == 2
+        assert run_cli(["experiment", "--n-states", "0", "--out", str(tmp_path / "x.csv")], capsys)[0] == 2
+        sweep(paired, "warm")
 
     def test_summary_table_printed(self, tmp_path, capsys):
         code, out, _ = run_cli(

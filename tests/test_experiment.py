@@ -201,6 +201,18 @@ class TestRunSweep:
         with pytest.raises(InvalidParameterError):
             ExperimentConfig(mode="bogus")
 
+    @pytest.mark.parametrize("mode", [np.array(["a", "b"]), np.array(["multinomial"])], ids=["two", "one-match"])
+    @pytest.mark.parametrize(
+        "door",
+        [lambda mode: ExperimentConfig(mode=mode), lambda mode: _budget(nme_wire_cut(0.5), 10, mode)],
+        ids=["ExperimentConfig", "_budget"],
+    )
+    def test_array_mode_is_a_named_error(self, door, mode):
+        # An array compared with each mode is ambiguous, or passes when its one element matches.
+        with pytest.raises(InvalidParameterError) as caught:
+            door(mode)
+        assert str(caught.value) == f"mode must be one of ('stratified', 'multinomial'), got {mode!r}"
+
     @pytest.mark.parametrize("seed", [-5, 2**64])
     def test_config_rejects_seed_outside_uint64(self, seed):
         with pytest.raises(InvalidParameterError):

@@ -50,9 +50,10 @@ class TestPauliBasis:
         # Orthogonal: tr(P_a P_b) = dim when a = b, else 0.
         np.testing.assert_allclose(np.einsum("aij,bji->ab", basis, basis), dim * np.eye(dim * dim), atol=0)
 
-    def test_other_dimension_is_a_named_error(self):
+    @pytest.mark.parametrize("dim", [3, np.array([2]), np.array([2, 4])], ids=["three", "one-element-array", "array"])
+    def test_other_dimension_is_a_named_error(self, dim):
         with pytest.raises(InvalidParameterError, match="dim must be one of"):
-            pauli_basis(3)
+            pauli_basis(dim)
 
 
 class TestIdentityChecks:

@@ -21,6 +21,7 @@ from nmecut.qpd import (
     U2,
     QpdTerm,
     QuasiProbDecomposition,
+    _nme_wire_cut,
     harada_wire_cut,
     nme_wire_cut,
     optimal_overhead,
@@ -200,6 +201,60 @@ def random_channel(gen, dim, n_kraus):
     """CPTP channel whose Kraus set is cut from a random (n_kraus * dim, dim) isometry."""
     q, _ = np.linalg.qr(gen.standard_normal((n_kraus * dim, dim)) + 1j * gen.standard_normal((n_kraus * dim, dim)))
     return QuantumChannel(q.reshape(n_kraus, dim, dim))
+
+
+def cut_bytes(qpd):
+    """Every bit a decomposition holds: each term's coefficient, name, flag, Kraus and Choi arrays, and the PTM stack."""
+    parts = [qpd.ptm.tobytes(), np.float64(qpd.kappa).tobytes()]
+    for t in qpd.terms:
+        parts += [np.float64(t.coefficient).tobytes(), t.channel.name, t.consumes_resource]
+        parts += [t.channel.kraus.tobytes(), t.channel.choi.tobytes()]
+    return parts
+
+
+class TestBuiltOncePerK:
+    """nme_wire_cut checks k on every call and builds each checked k once, in a bounded cache."""
+
+    def test_repeat_call_is_the_same_object(self):
+        qpd = nme_wire_cut(0.37)
+        assert nme_wire_cut(0.37) is qpd
+        assert nme_wire_cut(np.float64(0.37)) is qpd
+
+    @pytest.mark.parametrize("k", [0.0, 1e-300, 0.37, 1.0, 3.0, 1e300])
+    def test_cold_build_has_the_bytes_of_a_cache_hit(self, k):
+        hit = nme_wire_cut(k)
+        warm = cut_bytes(nme_wire_cut(k))
+        _nme_wire_cut.cache_clear()
+        cold = nme_wire_cut(k)
+        assert cold is not hit
+        assert cut_bytes(cold) == warm
+
+    def test_negative_zero_has_its_own_entry(self):
+        _nme_wire_cut.cache_clear()
+        negative = nme_wire_cut(-0.0)
+        positive = nme_wire_cut(0.0)
+        assert positive is not negative
+        assert nme_wire_cut(-0.0) is negative and nme_wire_cut(0.0) is positive
+        for k, hit in ((-0.0, negative), (0.0, positive)):
+            _nme_wire_cut.cache_clear()
+            assert cut_bytes(nme_wire_cut(k)) == cut_bytes(hit)
+
+    def test_cache_is_bounded(self):
+        size = _nme_wire_cut.cache_info().maxsize
+        assert size is not None
+        for j in range(size + 5):
+            nme_wire_cut(j / 7)
+        assert _nme_wire_cut.cache_info().currsize == size
+
+    @pytest.mark.parametrize("k", [-1, float("nan"), True, "1"], ids=["negative", "nan", "bool", "str"])
+    def test_bad_k_is_rejected_on_every_call(self, k):
+        nme_wire_cut(1.0)  # a warm 1.0 entry: True must not reach it
+        messages = []
+        for _ in range(2):
+            with pytest.raises(InvalidParameterError) as caught:
+                nme_wire_cut(k)
+            messages.append(str(caught.value))
+        assert messages[0] == messages[1]
 
 
 class TestPauliForm:
